@@ -594,6 +594,11 @@ def tree_from_document(doc: dict) -> CausalTree:
     records = doc.get("processors")
     if not isinstance(records, list) or not records:
         raise ValueError("document must contain a non-empty 'processors' list")
+    for rec in records:
+        if not isinstance(rec, dict) or "id" not in rec or "n" not in rec:
+            raise ValueError(f"bad processor record (needs 'id' and 'n'): {rec!r}")
+        if not isinstance(rec["id"], str) or not isinstance(rec.get("parent"), (str, type(None))):
+            raise ValueError(f"processor 'id' and 'parent' must be strings: {rec!r}")
     children: dict[str, list[str]] = {}
     roots = []
     for rec in records:

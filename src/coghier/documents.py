@@ -77,13 +77,12 @@ def load_hierarchy_document(doc: Any, registry: OperatorRegistry | None = None) 
         raise DocumentError(f"hierarchy document is missing {exc.args[0]!r}") from None
     if not isinstance(node_records, list) or not isinstance(edge_records, list):
         raise DocumentError("'nodes' and 'edges' must be lists")
+    if not isinstance(world, str):
+        raise DocumentError(f"'world_node' must be a string, not {world!r}")
 
     nodes = []
     for rec in node_records:
-        try:
-            nid, key = rec["id"], rec["operators"]
-        except (TypeError, KeyError):
-            raise DocumentError(f"bad node record: {rec!r}") from None
+        nid, key = _string_fields(rec, "node", "id", "operators")
         spec = registry.build_node(key, nid)
         if spec.node_id != nid:
             raise DocumentError(
@@ -92,12 +91,20 @@ def load_hierarchy_document(doc: Any, registry: OperatorRegistry | None = None) 
         nodes.append(spec)
     edges = []
     for rec in edge_records:
-        try:
-            lower, upper, key = rec["lower"], rec["upper"], rec["functions"]
-        except (TypeError, KeyError):
-            raise DocumentError(f"bad edge record: {rec!r}") from None
+        lower, upper, key = _string_fields(rec, "edge", "lower", "upper", "functions")
         edges.append(registry.build_edge(key, lower, upper))
     return Hierarchy(nodes=tuple(nodes), world_node=world, edges=tuple(edges))
+
+
+def _string_fields(rec: Any, what: str, *names: str) -> list[str]:
+    """The named fields of a document record, each of which must be a string."""
+    try:
+        values = [rec[name] for name in names]
+    except (TypeError, KeyError):
+        raise DocumentError(f"bad {what} record: {rec!r}") from None
+    if not all(isinstance(value, str) for value in values):
+        raise DocumentError(f"bad {what} record: {', '.join(names)} must be strings: {rec!r}")
+    return values
 
 
 def document_kind(doc: Any) -> str:

@@ -15,8 +15,9 @@ at the payload itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,11 @@ class Hierarchy:
         """Edges connecting ``node_id`` to its upper neighbours, sorted."""
         return self._above[node_id]
 
+    @cached_property
+    def _schedule(self) -> "tuple[_Phase, _Phase]":
+        """Both sweeps, compiled on first use; the hierarchy is frozen."""
+        return _compile_schedule(self)
+
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -240,15 +246,18 @@ class ValidationReport:
 def validate(hierarchy: Hierarchy) -> ValidationReport:
     """Check well-formedness; violations are data, not exceptions."""
     found: list[Violation] = []
-    ids = [spec.node_id for spec in hierarchy.nodes]
+
+    def flag(kind: str, detail: str) -> None:
+        found.append(Violation(kind, detail))
+
     seen: set[str] = set()
-    for nid in ids:
+    for nid in (spec.node_id for spec in hierarchy.nodes):
         if nid in seen:
-            found.append(Violation("duplicate_node", f"node id {nid!r} declared twice"))
+            flag("duplicate_node", f"node id {nid!r} declared twice")
         seen.add(nid)
     world = hierarchy.world_node
     if world not in seen:
-        found.append(Violation("world_missing", f"world node {world!r} is not among the nodes"))
+        flag("world_missing", f"world node {world!r} is not among the nodes")
 
     pairs: set[tuple[str, str]] = set()
     usable_edges: list[EdgeTriple] = []
@@ -256,15 +265,13 @@ def validate(hierarchy: Hierarchy) -> ValidationReport:
         bad = False
         for end in (edge.lower, edge.upper):
             if end not in seen:
-                found.append(Violation("unknown_node", f"edge references unknown node {end!r}"))
+                flag("unknown_node", f"edge references unknown node {end!r}")
                 bad = True
         if edge.lower == edge.upper:
-            found.append(Violation("self_edge", f"edge from {edge.lower!r} to itself"))
+            flag("self_edge", f"edge from {edge.lower!r} to itself")
             bad = True
         if (edge.lower, edge.upper) in pairs:
-            found.append(
-                Violation("duplicate_edge", f"more than one edge for ({edge.lower!r}, {edge.upper!r})")
-            )
+            flag("duplicate_edge", f"more than one edge for ({edge.lower!r}, {edge.upper!r})")
             bad = True
         pairs.add((edge.lower, edge.upper))
         if not bad:
@@ -272,108 +279,75 @@ def validate(hierarchy: Hierarchy) -> ValidationReport:
 
     if world in seen:
         preceded: dict[str, set[str]] = {nid: set() for nid in seen}
-        for edge in usable_edges:
-            preceded[edge.upper].add(edge.lower)
-        cyclic = _cycle_members(set(seen), preceded)
-        if cyclic:
-            found.append(
-                Violation("cycle", "sensing graph has a cycle through " + ", ".join(sorted(cyclic)))
-            )
-        if preceded[world]:
-            found.append(
-                Violation(
-                    "unique_source",
-                    f"world node {world!r} has incoming sensing edges from "
-                    + ", ".join(sorted(preceded[world])),
-                )
-            )
-        for nid in sorted(seen - {world}):
-            if not preceded[nid]:
-                found.append(
-                    Violation(
-                        "unique_source",
-                        f"node {nid!r} has no incoming sensing edge; world must be the only source",
-                    )
-                )
-        reachable = {world}
-        frontier = [world]
         children: dict[str, list[str]] = {nid: [] for nid in seen}
         for edge in usable_edges:
+            preceded[edge.upper].add(edge.lower)
             children[edge.lower].append(edge.upper)
+        _, cyclic = _kahn(seen, preceded)
+        if cyclic:
+            flag("cycle", "sensing graph has a cycle through " + ", ".join(sorted(cyclic)))
+        if preceded[world]:
+            sources = ", ".join(sorted(preceded[world]))
+            flag("unique_source", f"world node {world!r} has incoming sensing edges from {sources}")
+        orphan = "has no incoming sensing edge; world must be the only source"
+        for nid in sorted(seen - {world}):
+            if not preceded[nid]:
+                flag("unique_source", f"node {nid!r} {orphan}")
+        reachable, frontier = {world}, [world]
         while frontier:
-            cur = frontier.pop()
-            for nxt in children[cur]:
+            for nxt in children[frontier.pop()]:
                 if nxt not in reachable:
                     reachable.add(nxt)
                     frontier.append(nxt)
         for nid in sorted(seen - reachable):
-            found.append(
-                Violation("unreachable", f"node {nid!r} is not reachable from the world node")
-            )
+            flag("unreachable", f"node {nid!r} is not reachable from the world node")
 
     for spec in hierarchy.nodes:
-        if spec.initial_policy not in spec.policies:
-            found.append(
-                Violation(
-                    "initial_policy",
-                    f"node {spec.node_id!r}: initial policy {spec.initial_policy!r} is not a known policy",
-                )
-            )
+        nid, initial = spec.node_id, spec.initial_policy
+        if initial not in spec.policies:
+            flag("initial_policy", f"node {nid!r}: initial policy {initial!r} is not a known policy")
         try:
             default = spec.policy_selector(())
         except Exception as exc:  # selector is user code
-            found.append(
-                Violation(
-                    "policy_default",
-                    f"node {spec.node_id!r}: policy selector failed on the empty set: {exc}",
-                )
-            )
-        else:
-            if default != spec.initial_policy:
-                found.append(
-                    Violation(
-                        "policy_default",
-                        f"node {spec.node_id!r}: policy selector maps the empty set to "
-                        f"{default!r}, expected the initial policy {spec.initial_policy!r}",
-                    )
-                )
+            flag("policy_default", f"node {nid!r}: policy selector failed on the empty set: {exc}")
+            continue
+        if default != initial:
+            mapped = f"maps the empty set to {default!r}, expected the initial policy {initial!r}"
+            flag("policy_default", f"node {nid!r}: policy selector {mapped}")
     return ValidationReport(tuple(found))
-
-
-def _cycle_members(ids: set[str], preceded: Mapping[str, set[str]]) -> set[str]:
-    """Kahn elimination; whatever cannot be scheduled lies on a cycle."""
-    remaining = {nid: set(pre) for nid, pre in preceded.items()}
-    ready = [nid for nid, pre in remaining.items() if not pre]
-    while ready:
-        nid = ready.pop()
-        del remaining[nid]
-        for other, pre in remaining.items():
-            if nid in pre:
-                pre.discard(nid)
-                if not pre:
-                    ready.append(other)
-    return set(remaining)
 
 
 # ---------------------------------------------------------------------------
 # Topological ordering
 
 
+def _kahn(ids: Iterable[str], preceded: Mapping[str, set[str]]) -> tuple[list[str], set[str]]:
+    """Level-sorted Kahn pass in O(N + E) plus sorting; also the nodes on or behind a cycle."""
+    ids = set(ids)
+    indegree = dict.fromkeys(ids, 0)
+    successors: dict[str, list[str]] = {nid: [] for nid in ids}
+    for nid in ids:
+        for p in set(preceded.get(nid, ())) & ids:
+            indegree[nid] += 1
+            successors[p].append(nid)
+    order: list[str] = []
+    level = sorted(nid for nid, count in indegree.items() if not count)
+    while level:
+        order.extend(level)
+        for nid in level:
+            for nxt in successors[nid]:
+                indegree[nxt] -= 1
+        level = sorted({nxt for nid in level for nxt in successors[nid] if not indegree[nxt]})
+    return order, ids.difference(order)
+
+
 def canonical_topological_order(
     ids: Iterable[str], preceded: Mapping[str, set[str]]
 ) -> tuple[str, ...]:
     """Deterministic Kahn order; ties broken by sorting node ids."""
-    remaining = {nid: set(preceded.get(nid, ())) & set(ids) for nid in ids}
-    order: list[str] = []
-    while remaining:
-        ready = sorted(nid for nid, pre in remaining.items() if not pre)
-        if not ready:
-            raise ValueError("dependency graph has a cycle")
-        for nid in ready:
-            order.append(nid)
-            del remaining[nid]
-        for pre in remaining.values():
-            pre.difference_update(ready)
+    order, left = _kahn(ids, preceded)
+    if left:
+        raise ValueError("dependency graph has a cycle")
     return tuple(order)
 
 
@@ -413,20 +387,6 @@ def prediction_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
     return deps
 
 
-def _check_order(
-    order: Iterable[str], ids: set[str], preceded: Mapping[str, set[str]], what: str
-) -> tuple[str, ...]:
-    order = tuple(order)
-    if set(order) != ids or len(order) != len(ids):
-        raise ValueError(f"{what} order must cover each node exactly once")
-    position = {nid: i for i, nid in enumerate(order)}
-    for nid, pre in preceded.items():
-        for p in pre:
-            if position[p] > position[nid]:
-                raise ValueError(f"{what} order violates {p!r} before {nid!r}")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Runtime state
 
@@ -453,10 +413,6 @@ class ActiveHierarchy:
         return self.active[node_id]
 
 
-def with_world_state(ah: ActiveHierarchy, world_state: Any) -> ActiveHierarchy:
-    return replace(ah, world_state=world_state)
-
-
 def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
     """Activate a hierarchy: initial beliefs and policies, no actions yet."""
     report = validate(hierarchy)
@@ -466,6 +422,7 @@ def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
         spec.node_id: ActiveNode(spec.node_id, spec.initial_belief, spec.initial_policy, ())
         for spec in hierarchy.nodes
     }
+    hierarchy._schedule  # compile the sweeps here, once, rather than in the first tick
     return ActiveHierarchy(hierarchy, active, world_state)
 
 
@@ -473,40 +430,141 @@ def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
 # Update operations
 
 
-def _call(fn: Callable, args: tuple, node: str, edge: tuple[str, str] | None = None) -> Any:
+def _call(fn: Callable, args: tuple, node: str, edge: EdgeTriple | None = None) -> Any:
     try:
         return fn(*args)
     except KernelError:
         raise
     except Exception as exc:
-        raise OperatorError(f"operator failed: {exc}", node=node, edge=edge) from exc
+        pair = None if edge is None else (edge.lower, edge.upper)
+        raise OperatorError(f"operator failed: {exc}", node=node, edge=pair) from exc
 
 
-def _collect(
-    emitted: Iterable[Tagged], expected_tag: str, node: str, edge: tuple[str, str]
-) -> list[Any]:
+def _collect(emitted: Iterable[Tagged], expected_tag: str, node: str, edge: EdgeTriple) -> list:
     values = []
     for item in emitted:
         if not isinstance(item, Tagged):
-            raise TagMismatchError(
-                f"edge emitted an untagged payload of type {type(item).__name__}",
-                node=node,
-                edge=edge,
-            )
-        if item.tag != expected_tag:
-            raise TagMismatchError(
-                f"edge emitted tag {item.tag!r}, node expects {expected_tag!r}",
-                node=node,
-                edge=edge,
-            )
-        values.append(item.value)
+            problem = f"edge emitted an untagged payload of type {type(item).__name__}"
+        elif item.tag != expected_tag:
+            problem = f"edge emitted tag {item.tag!r}, node expects {expected_tag!r}"
+        else:
+            values.append(item.value)
+            continue
+        raise TagMismatchError(problem, node=node, edge=(edge.lower, edge.upper))
     return values
 
 
-def _lower_state(ah: ActiveHierarchy, node_id: str) -> Any:
-    if node_id == ah.hierarchy.world_node:
-        return ah.world_state
-    return ah.active[node_id].belief
+class _NodePlan(NamedTuple):
+    """What one node's updates read from the static model, looked up once."""
+
+    spec: CognitiveNodeSpec
+    is_world: bool
+    observation_tag: str
+    task_param_tag: str
+    context_tag: str
+    sources: tuple[tuple[EdgeTriple, bool], ...]  # incoming sensing edges, "lower is world"
+    uppers: tuple[EdgeTriple, ...]
+
+
+def _node_plan(hierarchy: Hierarchy, node_id: str) -> _NodePlan:
+    spec, world = hierarchy.node(node_id), hierarchy.world_node
+    spaces = spec.spaces
+    return _NodePlan(
+        spec, node_id == world,
+        spaces.observation_space, spaces.task_param_space, spaces.context_space,
+        tuple((e, e.lower == world) for e in hierarchy.sensing_sources(node_id)),
+        hierarchy.upper_edges(node_id),
+    )
+
+
+def _sense(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -> Any:
+    """One node's sensing step, written into ``active``; returns the world state."""
+    node_id = plan.spec.node_id
+    observations: list[Any] = []
+    for edge, from_world in plan.sources:
+        lower = world_state if from_world else active[edge.lower].belief
+        emitted = _call(edge.sensing_fn, (lower,), node_id, edge)
+        observations.extend(_collect(emitted, plan.observation_tag, node_id, edge))
+    current = active[node_id]
+    belief = _call(plan.spec.observation_update, (tuple(observations), current.belief), node_id)
+    active[node_id] = ActiveNode(node_id, belief, current.policy, current.actions)
+    return world_state
+
+
+def _predict(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -> Any:
+    """One node's prediction step, written into ``active``; returns the world state."""
+    spec = plan.spec
+    node_id = spec.node_id
+    task_params: list[Any] = []
+    contexts: list[Any] = []
+    for edge in plan.uppers:
+        upper_active = active[edge.upper]
+        emitted = _call(edge.task_param_fn, (upper_active.actions,), node_id, edge)
+        task_params.extend(_collect(emitted, plan.task_param_tag, node_id, edge))
+        emitted = _call(edge.context_fn, (upper_active.belief,), node_id, edge)
+        contexts.extend(_collect(emitted, plan.context_tag, node_id, edge))
+
+    if plan.is_world:
+        args = (tuple(contexts), tuple(task_params), world_state)
+        return _call(spec.prediction_update, args, node_id)
+
+    current = active[node_id]
+    if not plan.uppers:
+        policy_id = current.policy
+    else:
+        policy_id = _call(spec.policy_selector, (tuple(task_params),), node_id)
+        if policy_id not in spec.policies:
+            raise OperatorError(f"selector chose unknown policy {policy_id!r}", node=node_id)
+    actions = tuple(_call(spec.policies[policy_id], (current.belief,), node_id))
+    belief = _call(spec.prediction_update, (tuple(contexts), actions, current.belief), node_id)
+    active[node_id] = ActiveNode(node_id, belief, policy_id, actions)
+    return world_state
+
+
+class _Phase(NamedTuple):
+    """One sweep: its per-node step, its constraints and its node plans in order."""
+
+    name: str
+    step: Callable[[_NodePlan, dict[str, ActiveNode], Any], Any]
+    preceded: dict[str, set[str]]
+    plans: tuple[_NodePlan, ...]
+
+
+def _compile_schedule(hierarchy: Hierarchy) -> tuple[_Phase, _Phase]:
+    """The sensing and the prediction sweep, each in its canonical order."""
+    plans = {nid: _node_plan(hierarchy, nid) for nid in hierarchy.node_ids}
+    return tuple(
+        _Phase(name, step, pre, tuple(plans[nid] for nid in canonical_topological_order(pre, pre)))
+        for name, step, pre in (
+            ("sensing", _sense, sensing_dependencies(hierarchy)),
+            ("prediction", _predict, prediction_dependencies(hierarchy)),
+        )
+    )
+
+
+def _check_order(phase: _Phase, order: Iterable[str] | None) -> _Phase:
+    """``phase`` in a caller-supplied order, checked against its constraints."""
+    if order is None:
+        return phase
+    order, preceded, what = tuple(order), phase.preceded, phase.name
+    if set(order) != set(preceded) or len(order) != len(preceded):
+        raise ValueError(f"{what} order must cover each node exactly once")
+    position = {nid: i for i, nid in enumerate(order)}
+    for nid, pre in preceded.items():
+        for p in pre:
+            if position[p] > position[nid]:
+                raise ValueError(f"{what} order violates {p!r} before {nid!r}")
+    by_id = {plan.spec.node_id: plan for plan in phase.plans}
+    return phase._replace(plans=tuple(by_id[nid] for nid in order))
+
+
+def _sweep(ah: ActiveHierarchy, *phases: _Phase) -> ActiveHierarchy:
+    """Run ``phases`` on one copy of the active state; the caller's stays as it was."""
+    active, world_state = dict(ah.active), ah.world_state
+    for phase in phases:
+        for plan in phase.plans:
+            world_state = phase.step(plan, active, world_state)
+    return ActiveHierarchy(ah.hierarchy, active, world_state)
 
 
 def sensing_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
@@ -515,20 +573,9 @@ def sensing_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
     Observations arrive as the multiset union over the node's incoming
     edges, ordered by source node id. Only this node's belief changes.
     """
-    hierarchy = ah.hierarchy
-    if node_id == hierarchy.world_node:
+    if node_id == ah.hierarchy.world_node:
         raise ValueError("the world node does not perform sensing updates")
-    spec = hierarchy.node(node_id)
-    observations: list[Any] = []
-    for edge in hierarchy.sensing_sources(node_id):
-        pair = (edge.lower, edge.upper)
-        emitted = _call(edge.sensing_fn, (_lower_state(ah, edge.lower),), node_id, pair)
-        observations.extend(_collect(emitted, spec.spaces.observation_space, node_id, pair))
-    current = ah.active[node_id]
-    belief = _call(spec.observation_update, (tuple(observations), current.belief), node_id)
-    active = dict(ah.active)
-    active[node_id] = replace(current, belief=belief)
-    return replace(ah, active=active)
+    return _sweep(ah, _Phase("sensing", _sense, {}, (_node_plan(ah.hierarchy, node_id),)))
 
 
 def prediction_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
@@ -541,73 +588,29 @@ def prediction_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy
     actions in the prediction update. For the world node the gathered task
     parameters are folded into the world state instead.
     """
-    hierarchy = ah.hierarchy
-    spec = hierarchy.node(node_id)
-    uppers = hierarchy.upper_edges(node_id)
-
-    task_params: list[Any] = []
-    contexts: list[Any] = []
-    for edge in uppers:
-        pair = (edge.lower, edge.upper)
-        upper_active = ah.active[edge.upper]
-        emitted = _call(edge.task_param_fn, (upper_active.actions,), node_id, pair)
-        task_params.extend(_collect(emitted, spec.spaces.task_param_space, node_id, pair))
-        emitted = _call(edge.context_fn, (upper_active.belief,), node_id, pair)
-        contexts.extend(_collect(emitted, spec.spaces.context_space, node_id, pair))
-
-    if node_id == hierarchy.world_node:
-        world_state = _call(
-            spec.prediction_update, (tuple(contexts), tuple(task_params), ah.world_state), node_id
-        )
-        return replace(ah, world_state=world_state)
-
-    current = ah.active[node_id]
-    if not uppers:
-        policy_id = current.policy
-    else:
-        policy_id = _call(spec.policy_selector, (tuple(task_params),), node_id)
-        if policy_id not in spec.policies:
-            raise OperatorError(f"selector chose unknown policy {policy_id!r}", node=node_id)
-    actions = tuple(_call(spec.policies[policy_id], (current.belief,), node_id))
-    belief = _call(spec.prediction_update, (tuple(contexts), actions, current.belief), node_id)
-    active = dict(ah.active)
-    active[node_id] = ActiveNode(node_id, belief, policy_id, actions)
-    return replace(ah, active=active)
+    return _sweep(ah, _Phase("prediction", _predict, {}, (_node_plan(ah.hierarchy, node_id),)))
 
 
 def sensing_process_update(
     ah: ActiveHierarchy, order: Iterable[str] | None = None
 ) -> ActiveHierarchy:
     """Sweep observations up: every non-world node, sources before sinks."""
-    preceded = sensing_dependencies(ah.hierarchy)
-    ids = set(preceded)
-    if order is None:
-        order = canonical_topological_order(ids, preceded)
-    else:
-        order = _check_order(order, ids, preceded, "sensing")
-    for node_id in order:
-        ah = sensing_node_update(ah, node_id)
-    return ah
+    return _sweep(ah, _check_order(ah.hierarchy._schedule[0], order))
 
 
 def prediction_process_update(
     ah: ActiveHierarchy, order: Iterable[str] | None = None
 ) -> ActiveHierarchy:
     """Sweep task parameters and context down: uppers first, world last."""
-    preceded = prediction_dependencies(ah.hierarchy)
-    ids = set(preceded)
-    if order is None:
-        order = canonical_topological_order(ids, preceded)
-    else:
-        order = _check_order(order, ids, preceded, "prediction")
-    for node_id in order:
-        ah = prediction_node_update(ah, node_id)
-    return ah
+    return _sweep(ah, _check_order(ah.hierarchy._schedule[1], order))
 
 
 def process_update(ah: ActiveHierarchy) -> ActiveHierarchy:
-    """One tick: a full sensing sweep, then a full prediction sweep."""
-    return prediction_process_update(sensing_process_update(ah))
+    """One tick: a full sensing sweep, then a full prediction sweep.
+
+    Both run on one copy of the state, in orders compiled once per hierarchy.
+    """
+    return _sweep(ah, *ah.hierarchy._schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +651,8 @@ def active_states_equal(a: ActiveHierarchy, b: ActiveHierarchy) -> bool:
     """Bit-identical comparison of two runtime states (world state included)."""
     if a.active.keys() != b.active.keys():
         return False
-    for nid in a.active:
-        x, y = a.active[nid], b.active[nid]
-        if x.policy != y.policy:
-            return False
-        if not payloads_equal(x.actions, y.actions):
-            return False
-        if not payloads_equal(x.belief, y.belief):
+    for nid, x in a.active.items():
+        y = b.active[nid]
+        if x.policy != y.policy or not payloads_equal((x.actions, x.belief), (y.actions, y.belief)):
             return False
     return payloads_equal(a.world_state, b.world_state)

@@ -51,6 +51,9 @@ class ServoParams:
     trials: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("accel", "dt", "duration", "noise_sigma", "kalman_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.duration < self.dt:
@@ -218,8 +221,8 @@ def run_episode(params: ServoParams) -> ServoEpisode:
     ah = kernel.init_active(hierarchy, initial_world(params))
     records: list[StepRecord] = []
     for _ in range(params.steps):
-        ah = kernel.with_world_state(ah, advance_world(ah.world_state, params))
-        ah = kernel.process_update(ah)
+        advanced = advance_world(ah.world_state, params)
+        ah = kernel.process_update(kernel.ActiveHierarchy(hierarchy, ah.active, advanced))
         world = ah.world_state
         records.append(
             StepRecord(

@@ -6,6 +6,8 @@ identical order. That makes them the reference instrument for ordering,
 locality and atomicity checks.
 """
 
+from hypothesis import settings
+
 from coghier import kernel
 from coghier.kernel import (
     CognitiveNodeSpec,
@@ -15,6 +17,13 @@ from coghier.kernel import (
     default_spaces,
     make_world_node_spec,
 )
+
+# Property tests replay the same examples on every run, so the suite stays
+# deterministic and its run time bounded; no example database is written.
+settings.register_profile(
+    "coghier", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("coghier")
 
 
 def recorder_node(nid, fail_on_observe=False):

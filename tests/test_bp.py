@@ -303,6 +303,15 @@ def test_tree_document_requires_single_root():
         bp.tree_from_document(doc)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [1, "a", {"id": "a"}, {"n": 2}, {"id": ["a"], "n": 2}, {"id": "a", "n": 2, "parent": ["r"]}],
+)
+def test_tree_document_rejects_malformed_records(record):
+    with pytest.raises(ValueError):
+        bp.tree_from_document({"processors": [record]})
+
+
 def test_tree_violations_catch_bad_matrix():
     eye_bad = np.array([[1.0, 0.1], [0.0, 1.0]])
     procs = {

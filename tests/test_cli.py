@@ -56,6 +56,28 @@ def test_validate_missing_file_is_input_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
 
+def assert_one_line_input_error(argv, capsys, start):
+    """Exit 2 with a single stderr line beginning ``start`` and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(start)
+
+
+@pytest.mark.parametrize("command", ["validate", "bp"])
+def test_non_object_processor_record_is_parse_error(tmp_path, capsys, command):
+    path = write_json(tmp_path / "tree.json", {"processors": [1]})
+    assert_one_line_input_error([command, path], capsys, "parse error")
+
+
+def test_non_string_world_node_is_parse_error(tmp_path, capsys):
+    doc = documents.thecat_document()
+    doc["world_node"] = [doc["world_node"]]
+    path = write_json(tmp_path / "world.json", doc)
+    assert_one_line_input_error(["validate", path], capsys, "parse error")
+
+
 # ---------------------------------------------------------------------------
 # bp
 
@@ -150,3 +172,10 @@ def test_servo_deterministic_without_noise(capsys):
 def test_servo_bad_params_are_input_errors(capsys):
     assert main(["servo", "--dt", "0"]) == 2
     assert "bad parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--dt", "nan"], ["--duration", "inf"], ["--accel", "nan"], ["--noise-sigma", "inf"]]
+)
+def test_servo_non_finite_params_are_input_errors(capsys, flags):
+    assert_one_line_input_error(["servo", "--trials", "1", *flags], capsys, "bad parameters")

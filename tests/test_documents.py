@@ -59,6 +59,18 @@ def test_missing_fields_rejected():
         documents.load_hierarchy_document({"world_node": "W", "nodes": [{}], "edges": []})
 
 
+def test_non_string_fields_rejected_at_parse_time():
+    doc = documents.thecat_document()
+    doc["world_node"] = [doc["world_node"]]
+    with pytest.raises(documents.DocumentError, match="world_node"):
+        documents.load_hierarchy_document(doc)
+    for records, field in (("nodes", "id"), ("nodes", "operators"), ("edges", "functions")):
+        doc = documents.thecat_document()
+        doc[records][0][field] = {"not": "a string"}
+        with pytest.raises(documents.DocumentError, match="must be strings"):
+            documents.load_hierarchy_document(doc)
+
+
 def test_document_kind_detection():
     assert documents.document_kind({"processors": []}) == "tree"
     assert documents.document_kind({"nodes": [], "edges": [], "world_node": "W"}) == "hierarchy"

@@ -356,6 +356,11 @@ def test_invalid_order_rejected():
         kernel.sensing_process_update(ah, ["C", "A", "B", "D"])
     with pytest.raises(ValueError):
         kernel.prediction_process_update(ah, ["W", "C", "A", "B", "D"])
+    for order in (["A", "B", "D"], ["A", "B", "D", "C", "C"], ["A", "B", "D", "X"]):
+        with pytest.raises(ValueError, match="sensing order must cover each node exactly once"):
+            kernel.sensing_process_update(ah, order)
+    with pytest.raises(ValueError, match="prediction order violates '[BD]' before 'W'"):
+        kernel.prediction_process_update(ah, ["C", "A", "W", "B", "D"])
 
 
 def test_process_update_is_deterministic():
@@ -460,3 +465,52 @@ def test_untagged_payload_rejected():
     ah = kernel.init_active(h, "env")
     with pytest.raises(TagMismatchError):
         kernel.sensing_node_update(ah, "A")
+
+
+# ---------------------------------------------------------------------------
+# Compiled schedule: one state copy per tick, orders computed once
+
+
+def test_failure_at_the_last_step_leaves_the_snapshot_untouched():
+    def jammed(_task_params, _world_state):
+        raise RuntimeError("actuator jammed")
+
+    h = build_recorder_hierarchy(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    # The world actuates last in the prediction sweep, so every other node's
+    # update has already been written into the tick's copy when it raises.
+    h = Hierarchy(
+        nodes=(make_world_node_spec("W", actuate=jammed), *h.nodes[1:]),
+        world_node="W",
+        edges=h.edges,
+    )
+    ah = kernel.init_active(h, ("env", 0))
+    active, world_state = ah.active, ah.world_state
+    before = kernel.ActiveHierarchy(h, dict(ah.active), ah.world_state)
+    with pytest.raises(OperatorError) as err:
+        kernel.process_update(ah)
+    assert err.value.node == "W"
+    assert ah.active is active
+    assert ah.world_state is world_state
+    assert kernel.active_states_equal(ah, before)
+
+
+def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):
+    calls = {}
+    for name in ("canonical_topological_order", "sensing_dependencies", "prediction_dependencies"):
+
+        def counting(*args, _name=name, _inner=getattr(kernel, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args)
+
+        monkeypatch.setattr(kernel, name, counting)
+
+    ah = kernel.init_active(diamond(), "env")
+    assert calls == {
+        "canonical_topological_order": 2,
+        "sensing_dependencies": 1,
+        "prediction_dependencies": 1,
+    }
+    calls.clear()
+    for _ in range(10):
+        ah = kernel.process_update(ah)
+    assert calls == {}

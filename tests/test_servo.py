@@ -60,6 +60,11 @@ def test_params_defaults_give_sixty_steps():
         {"kalman_gain": 1.5},
         {"mode": "sideways"},
         {"trials": 0},
+        {"accel": float("nan")},
+        {"dt": float("nan")},
+        {"duration": float("inf")},
+        {"noise_sigma": float("inf")},
+        {"kalman_gain": float("nan")},
     ],
 )
 def test_params_validation(kwargs):
