@@ -17,9 +17,10 @@ rather than divided by zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -34,6 +35,10 @@ from .kernel import (
     emit_nothing,
     make_world_node_spec,
 )
+
+
+# Largest feature dimension a tree document or a random tree may ask for.
+MAX_FEATURE_DIM = 1024
 
 
 class DegenerateBeliefError(KernelError):
@@ -121,12 +126,15 @@ def tree_violations(tree: CausalTree) -> list[str]:
         p = procs[pid]
         if p.feature_dim < 2:
             bad.append(f"{pid!r}: feature_dim must be at least 2")
-        for vec_name in ("diagnostic", "causal", "external_input"):
+        supported = (("diagnostic", False), ("causal", pid == tree.root), ("external_input", True))
+        for vec_name, needs_support in supported:
             vec = getattr(p, vec_name)
             if vec.shape != (p.feature_dim,):
                 bad.append(f"{pid!r}: {vec_name} has shape {vec.shape}, expected ({p.feature_dim},)")
             elif np.any(vec < 0):
                 bad.append(f"{pid!r}: {vec_name} has negative entries")
+            elif needs_support and not vec.any():
+                bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
         for child in p.children:
             if child not in procs:
                 bad.append(f"{pid!r} lists unknown child {child!r}")
@@ -262,27 +270,16 @@ def enumerate_joint_beliefs(tree: CausalTree) -> BeliefTable:
 # Embedding into a hierarchy
 
 
-def _as_vectors(belief: tuple) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    slots, causal = belief
-    return tuple(np.asarray(s, dtype=float) for s in slots), np.asarray(causal, dtype=float)
-
-
 def node_belief(belief_state: tuple) -> np.ndarray:
-    """Normalised product of all diagnostic slots and the causal support."""
-    slots, causal = _as_vectors(belief_state)
-    total = causal.copy()
+    """Normalised product of the causal support and all diagnostic slots."""
+    slots, causal = belief_state
+    total = np.array(causal, dtype=float)
     for slot in slots:
-        total = total * slot
+        total = total * np.asarray(slot, dtype=float)
     normed = _normalize(total)
     if normed is None:
         raise DegenerateBeliefError("belief state")
     return normed
-
-
-def _obs_tuple(n_slots: int, dim: int, slot: int, vec: np.ndarray) -> tuple[np.ndarray, ...]:
-    out = [np.zeros(dim) for _ in range(n_slots)]
-    out[slot] = vec
-    return tuple(out)
 
 
 def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
@@ -290,10 +287,10 @@ def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
 
     Each processor with m children becomes a node whose belief is a pair of
     (m + 1 diagnostic slots, causal support); slot 0 holds the externally
-    sensed evidence and slot k the k-th child's contribution. Sensing edges
-    emit zero vectors in every other slot so the observation update can sum
-    its inputs; exactly one payload arrives per slot per tick. The world
-    state is a mapping from processor id to its external input vector.
+    sensed evidence and slot k the k-th child's upward message. Each sensing
+    edge emits one ``(slot, vector)`` pair, which the observation update
+    writes into that slot; exactly one pair arrives per slot per tick. The
+    world state is a mapping from processor id to its external input vector.
     """
     if tree_violations(tree):
         raise ValueError("cannot encode an ill-formed tree")
@@ -303,22 +300,15 @@ def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
 
     for pid in tree.topological_ids():
         p = procs[pid]
-        m = len(p.children)
-        nodes.append(_processor_node(p, m))
-        edges.append(
-            EdgeTriple(
-                lower=world_id,
-                upper=pid,
-                sensing_fn=_external_sensing_fn(p, m),
-            )
-        )
+        nodes.append(_processor_node(p, len(p.children)))
+        edges.append(EdgeTriple(lower=world_id, upper=pid, sensing_fn=_external_sensing_fn(p)))
         for k, child_id in enumerate(p.children, start=1):
             child = procs[child_id]
             edges.append(
                 EdgeTriple(
                     lower=child_id,
                     upper=pid,
-                    sensing_fn=_child_sensing_fn(p, m, k, child),
+                    sensing_fn=_child_sensing_fn(p, k, child),
                     task_param_fn=emit_nothing,
                     context_fn=_context_fn(p, k, child),
                 )
@@ -327,30 +317,22 @@ def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
 
 
 def _processor_node(p: Processor, m: int) -> CognitiveNodeSpec:
-    n_slots = m + 1
-
     def observation_update(observations: tuple, belief: tuple) -> tuple:
-        slots, causal = _as_vectors(belief)
-        if not observations:
-            return belief
-        summed = [np.zeros(p.feature_dim) for _ in range(n_slots)]
-        for obs in observations:
-            if len(obs) != n_slots:
-                raise ValueError(f"observation has {len(obs)} slots, expected {n_slots}")
-            for i, vec in enumerate(obs):
-                summed[i] = summed[i] + np.asarray(vec, dtype=float)
-        return tuple(summed), causal
+        slots, causal = belief
+        slots = list(slots)
+        for k, vec in observations:
+            slots[k] = vec
+        return tuple(slots), causal
 
     def prediction_update(contexts: tuple, actions: tuple, belief: tuple) -> tuple:
         del actions
-        slots, causal = _as_vectors(belief)
         if not contexts:
-            return slots, causal
+            return belief
         if len(contexts) != 1:
             raise ValueError(f"expected a single context value, got {len(contexts)}")
-        return slots, np.asarray(contexts[0], dtype=float)
+        return belief[0], contexts[0]
 
-    initial = (tuple(p.diagnostic.copy() for _ in range(n_slots)), p.causal.copy())
+    initial = (tuple(p.diagnostic.copy() for _ in range(m + 1)), p.causal.copy())
     return CognitiveNodeSpec(
         node_id=p.id,
         spaces=default_spaces(p.id),
@@ -363,32 +345,31 @@ def _processor_node(p: Processor, m: int) -> CognitiveNodeSpec:
     )
 
 
-def _external_sensing_fn(p: Processor, m: int):
+def _external_sensing_fn(p: Processor):
     obs_tag = default_spaces(p.id).observation_space
 
     def sensing(world_state: Mapping[str, np.ndarray]) -> tuple[Tagged, ...]:
-        raw = np.asarray(world_state[p.id], dtype=float)
-        vec = _normalize(raw)
+        vec = _normalize(np.asarray(world_state[p.id], dtype=float))
         if vec is None:
             raise DegenerateBeliefError(f"external input of {p.id!r}")
-        return (Tagged(obs_tag, _obs_tuple(m + 1, p.feature_dim, 0, vec)),)
+        return (Tagged(obs_tag, (0, vec)),)
 
     return sensing
 
 
-def _child_sensing_fn(parent: Processor, m: int, k: int, child: Processor):
+def _child_sensing_fn(parent: Processor, k: int, child: Processor):
     obs_tag = default_spaces(parent.id).observation_space
     matrix = child.cond_matrix
 
     def sensing(belief: tuple) -> tuple[Tagged, ...]:
-        slots, _causal = _as_vectors(belief)
+        slots, _causal = belief
         prod = slots[0].copy()
         for slot in slots[1:]:
             prod = prod * slot
         msg = _normalize(matrix @ prod)
         if msg is None:
             raise DegenerateBeliefError(f"upward message from {child.id!r}")
-        return (Tagged(obs_tag, _obs_tuple(m + 1, parent.feature_dim, k, msg)),)
+        return (Tagged(obs_tag, (k, msg)),)
 
     return sensing
 
@@ -398,7 +379,7 @@ def _context_fn(parent: Processor, k: int, child: Processor):
     matrix = child.cond_matrix
 
     def context(belief: tuple) -> tuple[Tagged, ...]:
-        slots, causal = _as_vectors(belief)
+        slots, causal = belief
         prod = causal.copy()
         for i, slot in enumerate(slots):
             if i != k:
@@ -532,6 +513,10 @@ def random_tree(
     dims: tuple[int, int] = (2, 5),
 ) -> CausalTree:
     """Seeded random tree with strictly positive evidence and priors."""
+    if not 2 <= dims[0] <= dims[1] <= MAX_FEATURE_DIM:
+        raise ValueError(f"dims {dims} must satisfy 2 <= low <= high <= {MAX_FEATURE_DIM}")
+    if max_branching < 0:
+        raise ValueError(f"max_branching must be non-negative, not {max_branching}")
     n = int(rng.integers(dims[0], dims[1] + 1))
 
     def rand_vec() -> np.ndarray:
@@ -590,18 +575,29 @@ def tree_to_document(tree: CausalTree) -> dict:
     return {"processors": records}
 
 
-def tree_from_document(doc: dict) -> CausalTree:
-    records = doc.get("processors")
+def tree_from_document(doc: Any) -> CausalTree:
+    """Tree of a parsed document; ``ValueError`` if a record is malformed.
+
+    A matrix has one row per value of the parent and one column per value
+    of its own processor, so parent and child may differ in dimension.
+    """
+    records = doc.get("processors") if isinstance(doc, dict) else None
     if not isinstance(records, list) or not records:
         raise ValueError("document must contain a non-empty 'processors' list")
+    dims: dict[str, int] = {}
+    children: dict[str, list[str]] = {}
+    roots = []
     for rec in records:
         if not isinstance(rec, dict) or "id" not in rec or "n" not in rec:
             raise ValueError(f"bad processor record (needs 'id' and 'n'): {rec!r}")
         if not isinstance(rec["id"], str) or not isinstance(rec.get("parent"), (str, type(None))):
             raise ValueError(f"processor 'id' and 'parent' must be strings: {rec!r}")
-    children: dict[str, list[str]] = {}
-    roots = []
-    for rec in records:
+        n = rec["n"]
+        if type(n) is not int or not 1 <= n <= MAX_FEATURE_DIM:
+            raise ValueError(
+                f"processor {rec['id']!r}: 'n' must be an integer in [1, {MAX_FEATURE_DIM}]"
+            )
+        dims[rec["id"]] = n
         if rec.get("parent") is None:
             roots.append(rec["id"])
         else:
@@ -611,30 +607,37 @@ def tree_from_document(doc: dict) -> CausalTree:
 
     procs: dict[str, Processor] = {}
     for rec in records:
-        pid = rec["id"]
-        n = int(rec["n"])
-        parent = rec.get("parent")
+        pid, n, parent = rec["id"], rec["n"], rec.get("parent")
         matrix = None
-        causal = None
-        if parent is None:
-            prior = rec.get("prior")
-            causal = None if prior is None else np.asarray(prior, dtype=float)
-        else:
-            flat = rec.get("matrix")
+        if parent is not None:
+            flat = _numbers(rec, "matrix")
             if flat is None:
                 raise ValueError(f"processor {pid!r} needs a conditional matrix")
-            matrix = np.asarray(flat, dtype=float).reshape(n, n)
-        ext = rec.get("external_input")
+            if parent not in dims:
+                raise ValueError(f"processor {pid!r} names an unknown parent {parent!r}")
+            matrix = flat.reshape(dims[parent], n)
         procs[pid] = Processor(
             id=pid,
             feature_dim=n,
             parent=parent,
             children=tuple(children.get(pid, ())),
             cond_matrix=matrix,
-            causal=causal,
-            external_input=None if ext is None else np.asarray(ext, dtype=float),
+            causal=_numbers(rec, "prior") if parent is None else None,
+            external_input=_numbers(rec, "external_input"),
         )
     return CausalTree(processors=procs, root=roots[0])
+
+
+def _numbers(rec: dict, field: str) -> np.ndarray | None:
+    """A record's list of finite numbers as a vector; None if the field is absent or null."""
+    value = rec.get(field)
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(
+        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value
+    ):
+        raise ValueError(f"processor {rec['id']!r}: {field!r} must be a list of finite numbers")
+    return np.asarray(value, dtype=float)
 
 
 def beliefs_to_document(table: BeliefTable) -> dict:

@@ -12,36 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bp, documents, kernel, servo
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a single CLI invocation depends on and produces."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    seed: int = 0
-    output: str | None = None
-    output_format: str = "json"
-    tolerance: float = 1e-9
-
-    def check(self) -> list[str]:
-        problems = []
-        for path in self.inputs:
-            if not os.path.exists(path):
-                problems.append(f"input path does not exist: {path}")
-        if self.tolerance < 0:
-            problems.append("tolerance must be non-negative")
-        if self.output_format not in ("json", "csv"):
-            problems.append(f"unknown output format {self.output_format!r}")
-        return problems
 
 
 def _load_json(path: str) -> dict:
@@ -54,15 +31,9 @@ def _fmt_vector(vec) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    manifest = RunManifest(command="validate", inputs=(args.path,))
-    problems = manifest.check()
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 2
     try:
         doc = _load_json(args.path)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         print(f"parse error in {args.path}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -91,42 +62,34 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bp(args: argparse.Namespace) -> int:
-    inputs = (args.path,) if args.path else ()
-    manifest = RunManifest(command="bp", inputs=inputs, seed=args.seed, tolerance=args.tolerance)
-    problems = manifest.check()
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+    if not 0 <= args.tolerance < math.inf:
+        print("bad parameters: tolerance must be finite and non-negative", file=sys.stderr)
         return 2
 
     trees: list[tuple[str, bp.CausalTree]] = []
     if args.path:
         try:
-            doc = _load_json(args.path)
-            tree = bp.tree_from_document(doc)
-        except (json.JSONDecodeError, OSError, ValueError, KeyError) as exc:
+            tree = bp.tree_from_document(_load_json(args.path))
+        except OSError as exc:
+            print(f"cannot read {args.path}: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
             print(f"parse error in {args.path}: {exc}", file=sys.stderr)
             return 2
         bad = bp.tree_violations(tree)
         if bad:
-            for line in bad:
-                print(line, file=sys.stderr)
+            print(f"invalid tree in {args.path}: {'; '.join(bad)}", file=sys.stderr)
             return 2
         trees.append((os.path.basename(args.path), tree))
     else:
         rng = np.random.default_rng(args.seed)
-        for i in range(args.random):
-            trees.append(
-                (
-                    f"tree-{i:03d}",
-                    bp.random_tree(
-                        rng,
-                        max_depth=args.max_depth,
-                        max_branching=args.max_branch,
-                        dims=(2, args.max_dim),
-                    ),
-                )
-            )
+        try:
+            for i in range(args.random):
+                tree = bp.random_tree(rng, args.max_depth, args.max_branch, (2, args.max_dim))
+                trees.append((f"tree-{i:03d}", tree))
+        except ValueError as exc:
+            print(f"bad parameters: {exc}", file=sys.stderr)
+            return 2
 
     all_passed = True
     for name, tree in trees:
@@ -148,18 +111,6 @@ def cmd_bp(args: argparse.Namespace) -> int:
 
 
 def cmd_servo(args: argparse.Namespace) -> int:
-    output = args.csv or args.json_path
-    manifest = RunManifest(
-        command="servo",
-        seed=args.seed,
-        output=output,
-        output_format="csv" if args.csv else "json",
-    )
-    problems = manifest.check()
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 2
     try:
         params = servo.ServoParams(
             accel=args.accel,
@@ -176,10 +127,14 @@ def cmd_servo(args: argparse.Namespace) -> int:
 
     modes = servo.MODES if args.mode == "both" else (args.mode,)
     summary = servo.run_experiment(params, modes=modes)
-    if args.csv:
-        servo.write_csv(args.csv, summary)
-    if args.json_path:
-        servo.write_json(args.json_path, summary)
+    for path, write in ((args.csv, servo.write_csv), (args.json_path, servo.write_json)):
+        if not path:
+            continue
+        try:
+            write(path, summary)
+        except OSError as exc:
+            print(f"cannot write {path}: {exc}", file=sys.stderr)
+            return 2
 
     for mode in modes:
         stats = summary.per_mode[mode]

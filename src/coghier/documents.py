@@ -134,22 +134,25 @@ def _inert_node(node_id: str) -> CognitiveNodeSpec:
     )
 
 
+# Demo hierarchies whose nodes and edges are registered as ``<name>.<node id>``
+# and ``<name>.edge`` bundles.
+_DEMOS: dict[str, Callable[[], Hierarchy]] = {
+    "thecat": lambda: bp.encode(bp.thecat_tree()),
+    "servo": lambda: servo.build_servo_hierarchy(servo.ServoParams()),
+}
+
+
 def default_registry() -> OperatorRegistry:
     """Registry with the built-in bundles: noop, word/letter demo, servo."""
     registry = OperatorRegistry()
     registry.register_node("noop.node", _inert_node)
     registry.register_node("noop.world", lambda nid: make_world_node_spec(nid))
     registry.register_edge("noop.edge", lambda lower, upper: (emit_nothing, emit_nothing, emit_nothing))
-
-    thecat = bp.encode(bp.thecat_tree())
-    for nid in thecat.node_ids:
-        registry.register_node(f"thecat.{nid}", _exact_node(thecat, nid))
-    registry.register_edge("thecat.edge", _exact_edge(thecat, "thecat"))
-
-    servo_h = servo.build_servo_hierarchy(servo.ServoParams())
-    for nid in servo_h.node_ids:
-        registry.register_node(f"servo.{nid}", _exact_node(servo_h, nid))
-    registry.register_edge("servo.edge", _exact_edge(servo_h, "servo"))
+    for name, build in _DEMOS.items():
+        hierarchy = build()
+        for nid in hierarchy.node_ids:
+            registry.register_node(f"{name}.{nid}", _exact_node(hierarchy, nid))
+        registry.register_edge(f"{name}.edge", _exact_edge(hierarchy, name))
     return registry
 
 
@@ -174,27 +177,14 @@ def _exact_edge(hierarchy: Hierarchy, bundle: str) -> EdgeBuilder:
     return build
 
 
-def thecat_document() -> dict:
-    """Document form of the word/letter demo hierarchy."""
-    hierarchy = bp.encode(bp.thecat_tree())
+def demo_document(name: str) -> dict:
+    """Document form of the ``"thecat"`` (word/letter) or ``"servo"`` demo hierarchy."""
+    hierarchy = _DEMOS[name]()
     return {
         "world_node": hierarchy.world_node,
-        "nodes": [{"id": nid, "operators": f"thecat.{nid}"} for nid in sorted(hierarchy.node_ids)],
+        "nodes": [{"id": nid, "operators": f"{name}.{nid}"} for nid in sorted(hierarchy.node_ids)],
         "edges": [
-            {"lower": e.lower, "upper": e.upper, "functions": "thecat.edge"}
-            for e in sorted(hierarchy.edges, key=lambda e: (e.lower, e.upper))
-        ],
-    }
-
-
-def servo_document() -> dict:
-    """Document form of the tracking-controller hierarchy (default params)."""
-    hierarchy = servo.build_servo_hierarchy(servo.ServoParams())
-    return {
-        "world_node": hierarchy.world_node,
-        "nodes": [{"id": nid, "operators": f"servo.{nid}"} for nid in sorted(hierarchy.node_ids)],
-        "edges": [
-            {"lower": e.lower, "upper": e.upper, "functions": "servo.edge"}
+            {"lower": e.lower, "upper": e.upper, "functions": f"{name}.edge"}
             for e in sorted(hierarchy.edges, key=lambda e: (e.lower, e.upper))
         ],
     }

@@ -38,6 +38,9 @@ WORLD, FILTER_NODE, PHYSICS_NODE = "N0", "N1", "N2"
 
 MODES = ("no_context", "context")
 
+# Most steps one episode may take (duration / dt); the default is 60.
+MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class ServoParams:
@@ -58,6 +61,8 @@ class ServoParams:
             raise ValueError("dt must be positive")
         if self.duration < self.dt:
             raise ValueError("duration must cover at least one step")
+        if self.duration / self.dt > MAX_STEPS:
+            raise ValueError(f"duration / dt must be at most {MAX_STEPS} steps")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         if not 0.0 <= self.kalman_gain <= 1.0:

@@ -1,6 +1,7 @@
 """Tree propagation vs brute-force enumeration, and the hierarchy embedding."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,18 +151,16 @@ def test_encode_leaf_has_single_slot():
     assert len(slots4) == 4
 
 
-def test_sensing_emissions_zero_all_other_slots():
+def test_sensing_emission_names_its_slot():
     tree = bp.thecat_tree()
     h = bp.encode(tree)
     ah = kernel.init_active(h, bp.initial_world_state(tree))
     ah = kernel.sensing_node_update(ah, "N2")
     edge = next(e for e in h.edges if (e.lower, e.upper) == ("N2", "N4"))
     (tagged,) = edge.sensing_fn(ah.node("N2").belief)
-    slots = tagged.value
-    assert len(slots) == 4
-    np.testing.assert_allclose(slots[2], [0.5, 0.5])
-    for i in (0, 1, 3):
-        np.testing.assert_allclose(slots[i], [0.0, 0.0])
+    slot, vec = tagged.value
+    assert slot == 2
+    np.testing.assert_allclose(vec, [0.5, 0.5])
 
 
 def test_one_tick_reproduces_worked_example():
@@ -305,11 +304,49 @@ def test_tree_document_requires_single_root():
 
 @pytest.mark.parametrize(
     "record",
-    [1, "a", {"id": "a"}, {"n": 2}, {"id": ["a"], "n": 2}, {"id": "a", "n": 2, "parent": ["r"]}],
+    [
+        1, "a", {"id": "a"}, {"n": 2}, {"id": ["a"], "n": 2}, {"id": "a", "n": 2, "parent": ["r"]},
+        {"id": "a", "n": None}, {"id": "a", "n": 0}, {"id": "a", "n": 1e12}, {"id": "a", "n": 1.5},
+        {"id": "a", "n": True}, {"id": "a", "n": bp.MAX_FEATURE_DIM + 1},
+        {"id": "a", "n": 2, "prior": {}}, {"id": "a", "n": 2, "prior": [[0.5, 0.5]]},
+        {"id": "a", "n": 2, "external_input": [0.5, "x"]},
+        {"id": "a", "n": 2, "external_input": [float("nan"), 1.0]},
+    ],
 )
 def test_tree_document_rejects_malformed_records(record):
     with pytest.raises(ValueError):
         bp.tree_from_document({"processors": [record]})
+
+
+def test_tree_document_dimension_one_is_a_violation():
+    tree = bp.tree_from_document({"processors": [{"id": "r", "n": 1, "parent": None}]})
+    assert bp.tree_violations(tree) == ["'r': feature_dim must be at least 2"]
+
+
+def test_tree_violations_flag_all_zero_evidence_and_prior():
+    procs = dict(bp.thecat_tree().processors)
+    procs["N2"] = replace(procs["N2"], external_input=np.zeros(2))
+    procs["N4"] = replace(procs["N4"], causal=np.zeros(2))
+    procs["N1"] = replace(procs["N1"], causal=np.zeros(2))  # overwritten by context: allowed
+    bad = bp.tree_violations(bp.CausalTree(processors=procs, root="N4"))
+    assert sorted(bad) == [
+        "'N2': external_input is all zero, so no value can have support",
+        "'N4': causal is all zero, so no value can have support",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"dims": (2, 1)},
+        {"dims": (1, 3)},
+        {"dims": (2, bp.MAX_FEATURE_DIM + 1)},
+        {"max_branching": -1},
+    ],
+)
+def test_random_tree_rejects_bad_parameters(kwargs):
+    with pytest.raises(ValueError):
+        bp.random_tree(np.random.default_rng(0), **kwargs)
 
 
 def test_tree_violations_catch_bad_matrix():

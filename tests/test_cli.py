@@ -15,7 +15,7 @@ def write_json(path, doc):
 
 @pytest.fixture
 def thecat_doc(tmp_path):
-    return write_json(tmp_path / "thecat.json", documents.thecat_document())
+    return write_json(tmp_path / "thecat.json", documents.demo_document("thecat"))
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ def test_validate_tree_document_ok(thecat_tree_doc, capsys):
 
 
 def test_validate_cyclic_document_fails(tmp_path, capsys):
-    doc = documents.thecat_document()
+    doc = documents.demo_document("thecat")
     doc["edges"].append({"lower": "N4", "upper": "N1", "functions": "noop.edge"})
     path = write_json(tmp_path / "cyclic.json", doc)
     assert main(["validate", path]) == 1
@@ -71,8 +71,49 @@ def test_non_object_processor_record_is_parse_error(tmp_path, capsys, command):
     assert_one_line_input_error([command, path], capsys, "parse error")
 
 
+@pytest.mark.parametrize("command", ["validate", "bp"])
+def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'\xff\xfe{"processors": []}')
+    assert_one_line_input_error([command, str(path)], capsys, "parse error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bp", "--random", "1", "--tolerance", "nan"],
+        ["bp", "--random", "1", "--max-dim", "1"],
+        ["bp", "--random", "1", "--max-branch", "-1"],
+        ["servo", "--trials", "1", "--duration", "1e9"],
+    ],
+)
+def test_bad_numeric_flags_are_input_errors(capsys, argv):
+    assert_one_line_input_error(argv, capsys, "bad parameters")
+
+
+def test_bp_missing_document_is_input_error(tmp_path, capsys):
+    assert_one_line_input_error(["bp", str(tmp_path / "absent.json")], capsys, "cannot read")
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_servo_unwritable_output_is_input_error(tmp_path, capsys, flag):
+    path = str(tmp_path / "absent" / "out")
+    argv = ["servo", "--trials", "1", flag, path]
+    assert_one_line_input_error(argv, capsys, f"cannot write {path}")
+
+
+@pytest.mark.parametrize("pid, field", [("N2", "external_input"), ("N4", "prior")])
+def test_validate_and_bp_both_reject_all_zero_evidence(tmp_path, capsys, pid, field):
+    doc = bp.tree_to_document(bp.thecat_tree())
+    next(rec for rec in doc["processors"] if rec["id"] == pid)[field] = [0.0, 0.0]
+    path = write_json(tmp_path / "zero.json", doc)
+    assert main(["validate", path]) == 1
+    assert "all zero" in capsys.readouterr().out
+    assert_one_line_input_error(["bp", path], capsys, "invalid tree")
+
+
 def test_non_string_world_node_is_parse_error(tmp_path, capsys):
-    doc = documents.thecat_document()
+    doc = documents.demo_document("thecat")
     doc["world_node"] = [doc["world_node"]]
     path = write_json(tmp_path / "world.json", doc)
     assert_one_line_input_error(["validate", path], capsys, "parse error")

@@ -7,7 +7,7 @@ from coghier import bp, documents, kernel
 
 
 def test_word_demo_document_loads_and_validates():
-    doc = documents.thecat_document()
+    doc = documents.demo_document("thecat")
     h = documents.load_hierarchy_document(doc)
     assert kernel.validate(h).ok
     assert h.world_node == "N0"
@@ -15,21 +15,21 @@ def test_word_demo_document_loads_and_validates():
 
 
 def test_loaded_document_runs_a_tick():
-    h = documents.load_hierarchy_document(documents.thecat_document())
+    h = documents.load_hierarchy_document(documents.demo_document("thecat"))
     ah = kernel.init_active(h, bp.initial_world_state(bp.thecat_tree()))
     ah = kernel.process_update(ah)
     np.testing.assert_allclose(bp.node_belief(ah.node("N2").belief), [0.0, 1.0])
 
 
-def test_servo_document_loads_and_validates():
-    doc = documents.servo_document()
+def test_servo_demo_document_loads_and_validates():
+    doc = documents.demo_document("servo")
     h = documents.load_hierarchy_document(doc)
     assert kernel.validate(h).ok
     assert set(h.node_ids) == {"N0", "N1", "N2"}
 
 
 def test_extra_edge_can_introduce_a_cycle():
-    doc = documents.thecat_document()
+    doc = documents.demo_document("thecat")
     doc["edges"].append({"lower": "N4", "upper": "N1", "functions": "noop.edge"})
     h = documents.load_hierarchy_document(doc)
     report = kernel.validate(h)
@@ -37,14 +37,14 @@ def test_extra_edge_can_introduce_a_cycle():
 
 
 def test_unknown_bundle_key_rejected():
-    doc = documents.thecat_document()
+    doc = documents.demo_document("thecat")
     doc["nodes"][0]["operators"] = "no.such.bundle"
     with pytest.raises(documents.DocumentError):
         documents.load_hierarchy_document(doc)
 
 
 def test_bundle_bound_to_other_node_rejected():
-    doc = documents.thecat_document()
+    doc = documents.demo_document("thecat")
     for rec in doc["nodes"]:
         if rec["id"] == "N1":
             rec["operators"] = "thecat.N2"
@@ -60,12 +60,12 @@ def test_missing_fields_rejected():
 
 
 def test_non_string_fields_rejected_at_parse_time():
-    doc = documents.thecat_document()
+    doc = documents.demo_document("thecat")
     doc["world_node"] = [doc["world_node"]]
     with pytest.raises(documents.DocumentError, match="world_node"):
         documents.load_hierarchy_document(doc)
     for records, field in (("nodes", "id"), ("nodes", "operators"), ("edges", "functions")):
-        doc = documents.thecat_document()
+        doc = documents.demo_document("thecat")
         doc[records][0][field] = {"not": "a string"}
         with pytest.raises(documents.DocumentError, match="must be strings"):
             documents.load_hierarchy_document(doc)

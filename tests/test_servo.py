@@ -50,6 +50,10 @@ def test_params_defaults_give_sixty_steps():
     assert ServoParams().steps == 60
 
 
+def test_params_allow_exactly_the_step_cap():
+    assert ServoParams(dt=1.0, duration=float(servo.MAX_STEPS)).steps == servo.MAX_STEPS
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -65,6 +69,8 @@ def test_params_defaults_give_sixty_steps():
         {"duration": float("inf")},
         {"noise_sigma": float("inf")},
         {"kalman_gain": float("nan")},
+        {"duration": 1e9},
+        {"duration": 1e308, "dt": 1e-300},
     ],
 )
 def test_params_validation(kwargs):

@@ -1,0 +1,129 @@
+"""Property tests for JSON documents: round trips, and malformed fields exit cleanly.
+
+Trees are drawn with a dimension per processor, so a conditional matrix is
+(parent n, n) and not square. The mutation properties replace one field of
+a valid document with a value from a fixed bad set and run the CLI on it:
+the exit code must be 0, 1 or 2, no exception may escape, and an input
+error (exit 2) must be one line on stderr.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coghier import bp, documents
+from coghier.cli import main
+
+MISSING = object()  # the field is deleted instead of replaced
+BAD_VALUES = (
+    MISSING, None, True, 0, -1, 1, 1.5, 1e12, 10**400, float("nan"), float("inf"), "", "x",
+    [], {}, [1], [0, 0], [-1.0, 2.0], ["a", "b"], [[0.5, 0.5]], [None], [True, False],
+    [10**400, 1], [float("nan"), 1.0],
+)
+TREE_FIELDS = ("id", "n", "parent", "matrix", "prior", "external_input")
+
+
+@st.composite
+def mixed_dimension_trees(draw, max_nodes=6):
+    """Random valid tree whose processors each draw their own dimension."""
+    size = draw(st.integers(1, max_nodes))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, size)]
+    dims = draw(st.lists(st.integers(2, 4), min_size=size, max_size=size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [f"P{i}" for i in range(size)]
+    procs = {}
+    for i, pid in enumerate(ids):
+        parent = None if i == 0 else parents[i - 1]
+        matrix = None
+        if parent is not None:
+            matrix = rng.uniform(0.05, 1.0, (dims[parent], dims[i]))
+            matrix = matrix / matrix.sum(axis=1, keepdims=True)
+        procs[pid] = bp.Processor(
+            id=pid,
+            feature_dim=dims[i],
+            parent=None if parent is None else ids[parent],
+            children=tuple(ids[j] for j in range(1, size) if parents[j - 1] == i),
+            cond_matrix=matrix,
+            causal=rng.uniform(0.05, 1.0, dims[i]) if parent is None else None,
+            external_input=rng.uniform(0.05, 1.0, dims[i]),
+        )
+    return bp.CausalTree(processors=procs, root=ids[0])
+
+
+def run_cli(argv):
+    """Exit code and standard error of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_exits_cleanly(argv):
+    code, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1, err
+
+
+def mutated(doc, record, field, value):
+    """A copy of ``doc`` with ``field`` of ``record`` replaced (or deleted)."""
+    doc = json.loads(json.dumps(doc))
+    if value is MISSING:
+        record(doc).pop(field, None)
+    else:
+        record(doc)[field] = value
+    return doc
+
+
+@given(tree=mixed_dimension_trees())
+def test_mixed_dimension_tree_documents_round_trip(tmp_path_factory, tree):
+    doc = bp.tree_to_document(tree)
+    text = json.dumps(doc)
+    back = bp.tree_from_document(json.loads(text))
+    assert bp.tree_to_document(back) == doc
+    assert bp.equivalence_check(back).passed
+    path = tmp_path_factory.getbasetemp() / "mixed.json"
+    path.write_text(text)
+    assert run_cli(["bp", str(path)]) == (0, "")
+
+
+@settings(max_examples=150)
+@given(
+    tree=st.one_of(st.just(bp.thecat_tree()), mixed_dimension_trees()),
+    index=st.integers(0, 5),
+    field=st.sampled_from(TREE_FIELDS),
+    value=st.sampled_from(BAD_VALUES),
+)
+def test_mutated_tree_documents_exit_cleanly(tmp_path_factory, tree, index, field, value):
+    base = bp.tree_to_document(tree)
+    index %= len(base["processors"])
+    doc = mutated(base, lambda d: d["processors"][index], field, value)
+    path = tmp_path_factory.getbasetemp() / "mutated-tree.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "bp"):
+        assert_exits_cleanly([command, str(path)])
+
+
+@given(
+    target=st.sampled_from(
+        [(None, f) for f in ("world_node", "nodes", "edges")]
+        + [("nodes", f) for f in ("id", "operators")]
+        + [("edges", f) for f in ("lower", "upper", "functions")]
+    ),
+    index=st.integers(0, 7),
+    value=st.sampled_from(BAD_VALUES),
+)
+def test_mutated_hierarchy_documents_exit_cleanly(tmp_path_factory, target, index, value):
+    records, field = target
+    base = documents.demo_document("thecat")
+
+    def record(doc):
+        return doc if records is None else doc[records][index % len(doc[records])]
+
+    path = tmp_path_factory.getbasetemp() / "mutated-hierarchy.json"
+    path.write_text(json.dumps(mutated(base, record, field, value)))
+    assert_exits_cleanly(["validate", str(path)])
