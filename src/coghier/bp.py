@@ -39,6 +39,9 @@ from .kernel import (
 
 # Largest feature dimension a tree document or a random tree may ask for.
 MAX_FEATURE_DIM = 1024
+# Random trees grow exponentially in depth; past these limits they are refused.
+MAX_RANDOM_DEPTH = 64
+MAX_RANDOM_PROCESSORS = 2000
 
 
 class DegenerateBeliefError(KernelError):
@@ -517,6 +520,8 @@ def random_tree(
         raise ValueError(f"dims {dims} must satisfy 2 <= low <= high <= {MAX_FEATURE_DIM}")
     if max_branching < 0:
         raise ValueError(f"max_branching must be non-negative, not {max_branching}")
+    if max_depth > MAX_RANDOM_DEPTH:
+        raise ValueError(f"max_depth must be at most {MAX_RANDOM_DEPTH}, not {max_depth}")
     n = int(rng.integers(dims[0], dims[1] + 1))
 
     def rand_vec() -> np.ndarray:
@@ -531,6 +536,8 @@ def random_tree(
 
     def build(parent: str | None, depth: int) -> str:
         nonlocal counter
+        if counter == MAX_RANDOM_PROCESSORS:
+            raise ValueError(f"random tree would grow past {MAX_RANDOM_PROCESSORS} processors")
         pid = f"P{counter}"
         counter += 1
         n_children = int(rng.integers(0, max_branching + 1)) if depth < max_depth else 0
@@ -592,6 +599,8 @@ def tree_from_document(doc: Any) -> CausalTree:
             raise ValueError(f"bad processor record (needs 'id' and 'n'): {rec!r}")
         if not isinstance(rec["id"], str) or not isinstance(rec.get("parent"), (str, type(None))):
             raise ValueError(f"processor 'id' and 'parent' must be strings: {rec!r}")
+        if rec["id"] in dims:
+            raise ValueError(f"duplicate processor id {rec['id']!r}")
         n = rec["n"]
         if type(n) is not int or not 1 <= n <= MAX_FEATURE_DIM:
             raise ValueError(

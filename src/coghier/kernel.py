@@ -59,8 +59,7 @@ class TagMismatchError(OperatorError):
 # Tagged payloads
 
 
-@dataclass(frozen=True)
-class Tagged:
+class Tagged(NamedTuple):
     """A value labelled with the kind of slot it is destined for."""
 
     tag: str
@@ -391,8 +390,7 @@ def prediction_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
 # Runtime state
 
 
-@dataclass(frozen=True)
-class ActiveNode:
+class ActiveNode(NamedTuple):
     """Mutable-per-tick facet of one node: belief, policy, actions."""
 
     node_id: str
@@ -430,28 +428,16 @@ def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
 # Update operations
 
 
-def _call(fn: Callable, args: tuple, node: str, edge: EdgeTriple | None = None) -> Any:
-    try:
-        return fn(*args)
-    except KernelError:
-        raise
-    except Exception as exc:
-        pair = None if edge is None else (edge.lower, edge.upper)
-        raise OperatorError(f"operator failed: {exc}", node=node, edge=pair) from exc
-
-
-def _collect(emitted: Iterable[Tagged], expected_tag: str, node: str, edge: EdgeTriple) -> list:
-    values = []
+def _collect(emitted: Iterable[Tagged], tag: str, into: list, node: str, edge: EdgeTriple) -> None:
     for item in emitted:
         if not isinstance(item, Tagged):
             problem = f"edge emitted an untagged payload of type {type(item).__name__}"
-        elif item.tag != expected_tag:
-            problem = f"edge emitted tag {item.tag!r}, node expects {expected_tag!r}"
+        elif item.tag != tag:
+            problem = f"edge emitted tag {item.tag!r}, node expects {tag!r}"
         else:
-            values.append(item.value)
+            into.append(item.value)
             continue
         raise TagMismatchError(problem, node=node, edge=(edge.lower, edge.upper))
-    return values
 
 
 class _NodePlan(NamedTuple):
@@ -479,44 +465,54 @@ def _node_plan(hierarchy: Hierarchy, node_id: str) -> _NodePlan:
 
 def _sense(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -> Any:
     """One node's sensing step, written into ``active``; returns the world state."""
-    node_id = plan.spec.node_id
+    node_id, tag = plan.spec.node_id, plan.observation_tag
     observations: list[Any] = []
-    for edge, from_world in plan.sources:
-        lower = world_state if from_world else active[edge.lower].belief
-        emitted = _call(edge.sensing_fn, (lower,), node_id, edge)
-        observations.extend(_collect(emitted, plan.observation_tag, node_id, edge))
-    current = active[node_id]
-    belief = _call(plan.spec.observation_update, (tuple(observations), current.belief), node_id)
+    edge = None  # the edge in progress; None while the node's own operators run
+    try:
+        for edge, from_world in plan.sources:
+            lower = world_state if from_world else active[edge.lower].belief
+            _collect(edge.sensing_fn(lower), tag, observations, node_id, edge)
+        edge = None
+        current = active[node_id]
+        belief = plan.spec.observation_update(tuple(observations), current.belief)
+    except KernelError:
+        raise
+    except Exception as exc:
+        pair = None if edge is None else (edge.lower, edge.upper)
+        raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
     active[node_id] = ActiveNode(node_id, belief, current.policy, current.actions)
     return world_state
 
 
 def _predict(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -> Any:
     """One node's prediction step, written into ``active``; returns the world state."""
-    spec = plan.spec
+    spec, is_world, _, task_tag, context_tag, _, uppers = plan
     node_id = spec.node_id
     task_params: list[Any] = []
     contexts: list[Any] = []
-    for edge in plan.uppers:
-        upper_active = active[edge.upper]
-        emitted = _call(edge.task_param_fn, (upper_active.actions,), node_id, edge)
-        task_params.extend(_collect(emitted, plan.task_param_tag, node_id, edge))
-        emitted = _call(edge.context_fn, (upper_active.belief,), node_id, edge)
-        contexts.extend(_collect(emitted, plan.context_tag, node_id, edge))
-
-    if plan.is_world:
-        args = (tuple(contexts), tuple(task_params), world_state)
-        return _call(spec.prediction_update, args, node_id)
-
-    current = active[node_id]
-    if not plan.uppers:
-        policy_id = current.policy
-    else:
-        policy_id = _call(spec.policy_selector, (tuple(task_params),), node_id)
-        if policy_id not in spec.policies:
-            raise OperatorError(f"selector chose unknown policy {policy_id!r}", node=node_id)
-    actions = tuple(_call(spec.policies[policy_id], (current.belief,), node_id))
-    belief = _call(spec.prediction_update, (tuple(contexts), actions, current.belief), node_id)
+    edge = None
+    try:
+        for edge in uppers:
+            upper_active = active[edge.upper]
+            _collect(edge.task_param_fn(upper_active.actions), task_tag, task_params, node_id, edge)
+            _collect(edge.context_fn(upper_active.belief), context_tag, contexts, node_id, edge)
+        edge = None
+        if is_world:
+            return spec.prediction_update(tuple(contexts), tuple(task_params), world_state)
+        current = active[node_id]
+        if not uppers:
+            policy_id = current.policy
+        else:
+            policy_id = spec.policy_selector(tuple(task_params))
+            if policy_id not in spec.policies:
+                raise OperatorError(f"selector chose unknown policy {policy_id!r}", node=node_id)
+        actions = tuple(spec.policies[policy_id](current.belief))
+        belief = spec.prediction_update(tuple(contexts), actions, current.belief)
+    except KernelError:
+        raise
+    except Exception as exc:
+        pair = None if edge is None else (edge.lower, edge.upper)
+        raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
     active[node_id] = ActiveNode(node_id, belief, policy_id, actions)
     return world_state
 
@@ -637,7 +633,11 @@ def payloads_close(a: Any, b: Any, atol: float) -> bool:
 
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return a_arr.shape == b_arr.shape and bool(np.allclose(a_arr, b_arr, rtol=0.0, atol=atol))
+        if a_arr.shape != b_arr.shape:
+            return False
+        with np.errstate(invalid="ignore"):  # np.allclose(rtol=0) without its per-call set-up
+            close = (np.abs(a_arr - b_arr) <= atol) & np.isfinite(b_arr) | (a_arr == b_arr)
+            return bool(close.all())
     if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
         return len(a) == len(b) and all(payloads_close(x, y, atol) for x, y in zip(a, b))
     if isinstance(a, dict) and isinstance(b, dict):

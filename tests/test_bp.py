@@ -342,11 +342,23 @@ def test_tree_violations_flag_all_zero_evidence_and_prior():
         {"dims": (1, 3)},
         {"dims": (2, bp.MAX_FEATURE_DIM + 1)},
         {"max_branching": -1},
+        {"max_depth": bp.MAX_RANDOM_DEPTH + 1},
     ],
 )
 def test_random_tree_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         bp.random_tree(np.random.default_rng(0), **kwargs)
+
+
+def test_random_tree_checks_its_size_before_each_processor(monkeypatch):
+    tree = bp.random_tree(np.random.default_rng(5), max_depth=6)
+    size = len(tree.processors)
+    monkeypatch.setattr(bp, "MAX_RANDOM_PROCESSORS", size)
+    at_cap = bp.random_tree(np.random.default_rng(5), max_depth=6)
+    assert bp.tree_to_document(at_cap) == bp.tree_to_document(tree)
+    monkeypatch.setattr(bp, "MAX_RANDOM_PROCESSORS", size - 1)
+    with pytest.raises(ValueError, match=f"past {size - 1} processors"):
+        bp.random_tree(np.random.default_rng(5), max_depth=6)
 
 
 def test_tree_violations_catch_bad_matrix():

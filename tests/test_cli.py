@@ -85,6 +85,8 @@ def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
         ["bp", "--random", "1", "--max-dim", "1"],
         ["bp", "--random", "1", "--max-branch", "-1"],
         ["servo", "--trials", "1", "--duration", "1e9"],
+        ["bp", "--random", "1", "--max-depth", str(bp.MAX_RANDOM_DEPTH + 1)],
+        ["bp", "--random", "20", "--max-depth", "20"],
     ],
 )
 def test_bad_numeric_flags_are_input_errors(capsys, argv):
@@ -110,6 +112,16 @@ def test_validate_and_bp_both_reject_all_zero_evidence(tmp_path, capsys, pid, fi
     assert main(["validate", path]) == 1
     assert "all zero" in capsys.readouterr().out
     assert_one_line_input_error(["bp", path], capsys, "invalid tree")
+
+
+@pytest.mark.parametrize("command", ["validate", "bp"])
+def test_duplicate_processor_id_is_parse_error(tmp_path, capsys, command):
+    doc = bp.tree_to_document(bp.thecat_tree())
+    leaf = doc["processors"][-1]
+    doc["processors"].append(dict(leaf))
+    path = write_json(tmp_path / "twice.json", doc)
+    start = f"parse error in {path}: duplicate processor id {leaf['id']!r}"
+    assert_one_line_input_error([command, path], capsys, start)
 
 
 def test_non_string_world_node_is_parse_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Kernel tests: validation, sweeps, ordering, locality, atomicity."""
 
+import numpy as np
 import pytest
 from conftest import (
     build_recorder_hierarchy,
@@ -8,6 +9,9 @@ from conftest import (
     recorder_node,
     world_edge,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coghier import kernel
 from coghier.kernel import (
@@ -467,6 +471,62 @@ def test_untagged_payload_rejected():
         kernel.sensing_node_update(ah, "A")
 
 
+def sensed_from_world(sensing_fn):
+    """``W -> A`` with ``sensing_fn`` on the edge, activated."""
+    node, world = recorder_node("A"), make_world_node_spec("W")
+    edge = EdgeTriple(lower="W", upper="A", sensing_fn=sensing_fn)
+    return kernel.init_active(Hierarchy(nodes=(world, node), world_node="W", edges=(edge,)), "env")
+
+
+class Veto(kernel.KernelError):
+    """A kernel error raised from inside an edge function."""
+
+
+VETO = Veto("edge vetoed the tick")
+
+
+def veto(_ws):
+    raise VETO
+
+
+def test_failure_while_iterating_emitted_values_names_node_and_edge():
+    def flaky(ws):
+        yield Tagged("obs:A", ws)
+        raise RuntimeError("sensor dropped out")
+
+    ah = sensed_from_world(flaky)
+    with pytest.raises(OperatorError) as err:
+        kernel.process_update(ah)
+    assert (err.value.node, err.value.edge) == ("A", ("W", "A"))
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def test_plain_tuple_is_still_an_untagged_payload():
+    assert Tagged("obs:A", 1.0) == ("obs:A", 1.0)  # equal as tuples, yet not a Tagged
+    ah = sensed_from_world(lambda ws: (("obs:A", 1.0),))
+    with pytest.raises(TagMismatchError, match="untagged payload of type tuple") as err:
+        kernel.process_update(ah)
+    assert (err.value.node, err.value.edge) == ("A", ("W", "A"))
+
+
+def test_kernel_error_from_an_edge_reaches_the_caller_unchanged():
+    with pytest.raises(Veto) as err:
+        kernel.process_update(sensed_from_world(veto))
+    assert err.value is VETO
+    assert err.value.__cause__ is not err.value
+
+
+@pytest.mark.parametrize("sensing_fn", [lambda ws: (("obs:A", 1.0),), veto])
+def test_rejected_emissions_leave_the_snapshot_untouched(sensing_fn):
+    ah = sensed_from_world(sensing_fn)
+    active, world_state = ah.active, ah.world_state
+    before = kernel.ActiveHierarchy(ah.hierarchy, dict(active), world_state)
+    with pytest.raises(kernel.KernelError):
+        kernel.process_update(ah)
+    assert ah.active is active and ah.world_state is world_state
+    assert kernel.active_states_equal(ah, before)
+
+
 # ---------------------------------------------------------------------------
 # Compiled schedule: one state copy per tick, orders computed once
 
@@ -514,3 +574,31 @@ def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):
     for _ in range(10):
         ah = kernel.process_update(ah)
     assert calls == {}
+
+
+# ---------------------------------------------------------------------------
+# Structural comparison helpers
+
+EDGE_VALUES = [0.0, -0.0, 1e-12, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+ELEMENTS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(width=64))
+SHAPES = st.sampled_from([(), (0,), (1,), (3,), (2, 2)])
+
+
+@settings(max_examples=500)
+@given(
+    data=st.data(),
+    shape=SHAPES,
+    offset=st.sampled_from([None, 0.0, 1e-13, 1e-12, 0.5, 1.0, 2.0, np.inf]),
+    atol=st.sampled_from([0.0, 1e-12, 1.0, np.inf]),
+)
+def test_payloads_close_on_arrays_agrees_with_allclose(data, shape, offset, atol):
+    a = data.draw(arrays(np.float64, shape, elements=ELEMENTS))
+    if offset is None:  # an unrelated array, of the same shape or not
+        b_shape = data.draw(st.one_of(st.just(shape), SHAPES))
+        b = data.draw(arrays(np.float64, b_shape, elements=ELEMENTS))
+    with np.errstate(all="ignore"):  # inf - inf and differences of +-1e308 on both sides
+        if offset is not None:
+            b = a + offset
+        for x, y in ((a, b), (b, a)):
+            expected = x.shape == y.shape and bool(np.allclose(x, y, rtol=0, atol=atol))
+            assert kernel.payloads_close(x, y, atol) is expected

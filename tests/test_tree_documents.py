@@ -22,7 +22,7 @@ MISSING = object()  # the field is deleted instead of replaced
 BAD_VALUES = (
     MISSING, None, True, 0, -1, 1, 1.5, 1e12, 10**400, float("nan"), float("inf"), "", "x",
     [], {}, [1], [0, 0], [-1.0, 2.0], ["a", "b"], [[0.5, 0.5]], [None], [True, False],
-    [10**400, 1], [float("nan"), 1.0],
+    [10**400, 1], [float("nan"), 1.0], "N1", "P0",  # the last two repeat a processor id
 )
 TREE_FIELDS = ("id", "n", "parent", "matrix", "prior", "external_input")
 
