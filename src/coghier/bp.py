@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Any, Mapping
 
 import numpy as np
@@ -232,40 +231,6 @@ def bp_propagate(tree: CausalTree) -> BeliefTable:
             degenerate.add(pid)
         else:
             beliefs[pid] = bel
-    return BeliefTable(beliefs, frozenset(degenerate))
-
-
-def enumerate_joint_beliefs(tree: CausalTree) -> BeliefTable:
-    """Brute-force marginals from the explicit joint distribution.
-
-    Sums prior(root) * prod P(child | parent) * prod evidence over every
-    assignment of values to processors. Exponential; for small trees only.
-    """
-    procs = tree.processors
-    order = tree.topological_ids()
-    dims = [procs[pid].feature_dim for pid in order]
-    index = {pid: i for i, pid in enumerate(order)}
-    root_prior = procs[tree.root].causal / procs[tree.root].causal.sum()
-
-    marginals = [np.zeros(d) for d in dims]
-    for assignment in product(*(range(d) for d in dims)):
-        weight = root_prior[assignment[index[tree.root]]]
-        for pid in order:
-            p = procs[pid]
-            weight *= p.external_input[assignment[index[pid]]]
-            if p.parent is not None:
-                weight *= p.cond_matrix[assignment[index[p.parent]], assignment[index[pid]]]
-        for i, val in enumerate(assignment):
-            marginals[i][val] += weight
-
-    beliefs: dict[str, np.ndarray] = {}
-    degenerate: set[str] = set()
-    for pid, marg in zip(order, marginals):
-        normed = _normalize(marg)
-        if normed is None:
-            degenerate.add(pid)
-        else:
-            beliefs[pid] = normed
     return BeliefTable(beliefs, frozenset(degenerate))
 
 
@@ -647,10 +612,3 @@ def _numbers(rec: dict, field: str) -> np.ndarray | None:
     ):
         raise ValueError(f"processor {rec['id']!r}: {field!r} must be a list of finite numbers")
     return np.asarray(value, dtype=float)
-
-
-def beliefs_to_document(table: BeliefTable) -> dict:
-    doc = {pid: [float(x) for x in vec] for pid, vec in sorted(table.beliefs.items())}
-    if table.degenerate:
-        doc["_degenerate"] = sorted(table.degenerate)
-    return doc

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +350,6 @@ def canonical_topological_order(
     return tuple(order)
 
 
-def all_topological_orders(
-    ids: Iterable[str], preceded: Mapping[str, set[str]]
-) -> Iterator[tuple[str, ...]]:
-    """Yield every linearisation of the partial order (small graphs only)."""
-    ids = set(ids)
-    preceded = {nid: set(preceded.get(nid, ())) & ids for nid in ids}
-
-    def rec(done: tuple[str, ...], left: set[str]) -> Iterator[tuple[str, ...]]:
-        if not left:
-            yield done
-            return
-        for nid in sorted(left):
-            if preceded[nid] <= set(done):
-                yield from rec(done + (nid,), left - {nid})
-
-    yield from rec((), ids)
-
-
 def sensing_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
     """lower-before-upper constraints among non-world nodes."""
     world = hierarchy.world_node
@@ -610,25 +592,11 @@ def process_update(ah: ActiveHierarchy) -> ActiveHierarchy:
 
 
 # ---------------------------------------------------------------------------
-# Structural comparison helpers (exact and approximate)
-
-
-def payloads_equal(a: Any, b: Any) -> bool:
-    """Exact structural equality over nested tuples, arrays and scalars."""
-    import numpy as np
-
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a_arr, b_arr = np.asarray(a), np.asarray(b)
-        return a_arr.shape == b_arr.shape and bool(np.array_equal(a_arr, b_arr))
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return len(a) == len(b) and all(payloads_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(payloads_equal(a[k], b[k]) for k in a)
-    return bool(a == b)
+# Structural comparison
 
 
 def payloads_close(a: Any, b: Any, atol: float) -> bool:
-    """Like :func:`payloads_equal` but numeric leaves may differ by atol."""
+    """Structural equality of nested tuples, arrays and scalars, numeric leaves within atol."""
     import numpy as np
 
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -645,14 +613,3 @@ def payloads_close(a: Any, b: Any, atol: float) -> bool:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return abs(float(a) - float(b)) <= atol
     return bool(a == b)
-
-
-def active_states_equal(a: ActiveHierarchy, b: ActiveHierarchy) -> bool:
-    """Bit-identical comparison of two runtime states (world state included)."""
-    if a.active.keys() != b.active.keys():
-        return False
-    for nid, x in a.active.items():
-        y = b.active[nid]
-        if x.policy != y.policy or not payloads_equal((x.actions, x.belief), (y.actions, y.belief)):
-            return False
-    return payloads_equal(a.world_state, b.world_state)

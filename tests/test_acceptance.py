@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import oracles
 from conftest import build_recorder_hierarchy, diamond
 from test_bp import all_parent_vectors, make_tree
 
@@ -60,7 +61,7 @@ def test_criterion_2_tree_equivalence():
             for n in (2, 3):
                 tree = make_tree(parents, n, fill_rng)
                 fast = bp.bp_propagate(tree)
-                slow = bp.enumerate_joint_beliefs(tree)
+                slow = oracles.enumerate_joint_beliefs(tree)
                 for pid in tree.processors:
                     worst_oracle = max(
                         worst_oracle,
@@ -88,9 +89,9 @@ def test_criterion_3_order_independence():
 
     sensing_deps = kernel.sensing_dependencies(hierarchy)
     prediction_deps = kernel.prediction_dependencies(hierarchy)
-    sensing_orders = list(kernel.all_topological_orders(set(sensing_deps), sensing_deps))
+    sensing_orders = list(oracles.all_topological_orders(set(sensing_deps), sensing_deps))
     prediction_orders = list(
-        kernel.all_topological_orders(set(prediction_deps), prediction_deps)
+        oracles.all_topological_orders(set(prediction_deps), prediction_deps)
     )
     assert len(sensing_orders) == 6
     assert len(prediction_orders) == 6
@@ -100,7 +101,7 @@ def test_criterion_3_order_independence():
     for s_order, p_order in itertools.product(sensing_orders, prediction_orders):
         state = kernel.sensing_process_update(ah, s_order)
         state = kernel.prediction_process_update(state, p_order)
-        assert kernel.active_states_equal(state, reference), (s_order, p_order)
+        assert oracles.active_states_equal(state, reference), (s_order, p_order)
         checked += 1
     elapsed = time.perf_counter() - started
     passed = checked == 36 and elapsed < 5.0
@@ -163,7 +164,7 @@ def test_criterion_5_property_suite():
     params = ServoParams(trials=1, seed=13)
     assert servo.run_episode(params) == servo.run_episode(params)
     ah = kernel.init_active(diamond(), "env")
-    assert kernel.active_states_equal(kernel.process_update(ah), kernel.process_update(ah))
+    assert oracles.active_states_equal(kernel.process_update(ah), kernel.process_update(ah))
     details.append("determinism ok")
 
     # normalization: tree and hierarchy beliefs sum to one
@@ -191,7 +192,7 @@ def test_criterion_5_property_suite():
         raise AssertionError("expected the injected failure to abort the tick")
     except kernel.OperatorError as err:
         assert err.node == "B"
-    assert kernel.active_states_equal(state, snapshot)
+    assert oracles.active_states_equal(state, snapshot)
     details.append("atomic abort ok")
 
     # integrator drift: repeated one-step physics stays near the closed form

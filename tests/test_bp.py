@@ -4,7 +4,10 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coghier import bp, kernel
 
@@ -55,7 +58,7 @@ def test_propagation_matches_enumeration_exhaustively(size, n):
             tree = make_tree(parents, n, rng)
             assert not bp.tree_violations(tree)
             fast = bp.bp_propagate(tree)
-            slow = bp.enumerate_joint_beliefs(tree)
+            slow = oracles.enumerate_joint_beliefs(tree)
             assert not fast.degenerate and not slow.degenerate
             for pid in tree.processors:
                 np.testing.assert_allclose(
@@ -262,6 +265,17 @@ def test_fixpoint_after_depth_plus_one_ticks():
         assert kernel.payloads_close(settled, after, 1e-12)
 
 
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 4))
+def test_equivalence_check_settles_after_one_tick(seed, depth):
+    # Pearl's two passes are one tick, so the first tick reaches the
+    # fixpoint and the second only confirms it, at any depth.
+    tree = bp.random_tree(np.random.default_rng(seed), max_depth=depth)
+    report = bp.equivalence_check(tree)
+    assert not report.degenerate
+    assert report.converged and report.ticks == 2
+    assert report.passed
+
+
 def test_beliefs_are_normalized_across_random_trees():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -373,5 +387,5 @@ def test_tree_violations_catch_bad_matrix():
 
 def test_beliefs_document_is_json_ready():
     table = bp.bp_propagate(bp.thecat_tree())
-    doc = bp.beliefs_to_document(table)
+    doc = oracles.beliefs_to_document(table)
     assert doc["N4"] == [0.0, 1.0]

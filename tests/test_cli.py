@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coghier import bp, documents
+from coghier import bp, documents, servo
 from coghier.cli import main
 
 
@@ -87,6 +87,7 @@ def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
         ["servo", "--trials", "1", "--duration", "1e9"],
         ["bp", "--random", "1", "--max-depth", str(bp.MAX_RANDOM_DEPTH + 1)],
         ["bp", "--random", "20", "--max-depth", "20"],
+        ["servo", "--trials", str(servo.MAX_TRIALS + 1)],
     ],
 )
 def test_bad_numeric_flags_are_input_errors(capsys, argv):

@@ -1,6 +1,7 @@
 """Kernel tests: validation, sweeps, ordering, locality, atomicity."""
 
 import numpy as np
+import oracles
 import pytest
 from conftest import (
     build_recorder_hierarchy,
@@ -271,7 +272,7 @@ def test_process_update_equals_sensing_then_prediction():
     ah = kernel.init_active(diamond(), "env")
     combined = kernel.process_update(ah)
     manual = kernel.prediction_process_update(kernel.sensing_process_update(ah))
-    assert kernel.active_states_equal(combined, manual)
+    assert oracles.active_states_equal(combined, manual)
 
 
 def test_world_only_hierarchy_ticks_as_noop():
@@ -334,23 +335,23 @@ def test_all_sensing_orders_give_identical_state():
     h = diamond()
     ah = kernel.init_active(h, "env")
     deps = kernel.sensing_dependencies(h)
-    orders = list(kernel.all_topological_orders(set(deps), deps))
+    orders = list(oracles.all_topological_orders(set(deps), deps))
     assert len(orders) > 1
     reference = kernel.sensing_process_update(ah)
     for order in orders:
-        assert kernel.active_states_equal(reference, kernel.sensing_process_update(ah, order))
+        assert oracles.active_states_equal(reference, kernel.sensing_process_update(ah, order))
 
 
 def test_all_prediction_orders_give_identical_state():
     h = diamond()
     ah = kernel.sensing_process_update(kernel.init_active(h, "env"))
     deps = kernel.prediction_dependencies(h)
-    orders = list(kernel.all_topological_orders(set(deps), deps))
+    orders = list(oracles.all_topological_orders(set(deps), deps))
     assert len(orders) > 1
     reference = kernel.prediction_process_update(ah)
     for order in orders:
         assert order[-1] == "W"
-        assert kernel.active_states_equal(reference, kernel.prediction_process_update(ah, order))
+        assert oracles.active_states_equal(reference, kernel.prediction_process_update(ah, order))
 
 
 def test_invalid_order_rejected():
@@ -369,7 +370,7 @@ def test_invalid_order_rejected():
 
 def test_process_update_is_deterministic():
     ah = kernel.init_active(diamond(), "env")
-    assert kernel.active_states_equal(kernel.process_update(ah), kernel.process_update(ah))
+    assert oracles.active_states_equal(kernel.process_update(ah), kernel.process_update(ah))
 
 
 def test_hierarchy_is_never_mutated_by_ticks():
@@ -402,7 +403,7 @@ def test_operator_failure_aborts_tick_and_preserves_state():
     with pytest.raises(OperatorError) as err:
         kernel.process_update(ah)
     assert err.value.node == "B"
-    assert kernel.active_states_equal(ah, before)
+    assert oracles.active_states_equal(ah, before)
     assert ah.world_state is before.world_state
 
 
@@ -524,7 +525,7 @@ def test_rejected_emissions_leave_the_snapshot_untouched(sensing_fn):
     with pytest.raises(kernel.KernelError):
         kernel.process_update(ah)
     assert ah.active is active and ah.world_state is world_state
-    assert kernel.active_states_equal(ah, before)
+    assert oracles.active_states_equal(ah, before)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +552,7 @@ def test_failure_at_the_last_step_leaves_the_snapshot_untouched():
     assert err.value.node == "W"
     assert ah.active is active
     assert ah.world_state is world_state
-    assert kernel.active_states_equal(ah, before)
+    assert oracles.active_states_equal(ah, before)
 
 
 def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):

@@ -3,7 +3,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coghier import kernel, servo
 from coghier.servo import ServoParams
@@ -54,6 +57,10 @@ def test_params_allow_exactly_the_step_cap():
     assert ServoParams(dt=1.0, duration=float(servo.MAX_STEPS)).steps == servo.MAX_STEPS
 
 
+def test_params_allow_exactly_the_trial_cap():
+    assert ServoParams(trials=servo.MAX_TRIALS).trials == servo.MAX_TRIALS
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -71,6 +78,7 @@ def test_params_allow_exactly_the_step_cap():
         {"kalman_gain": float("nan")},
         {"duration": 1e9},
         {"duration": 1e308, "dt": 1e-300},
+        {"trials": servo.MAX_TRIALS + 1},
     ],
 )
 def test_params_validation(kwargs):
@@ -172,6 +180,48 @@ def test_mean_error_is_mean_of_step_errors():
     assert episode.mean_error == pytest.approx(
         sum(s.abs_error for s in episode.steps) / len(episode.steps)
     )
+
+
+def noisy_mean_error(params):
+    """Scalar recurrence of one noisy episode, one reading drawn per step.
+
+    The arithmetic follows the operators term by term, so the hierarchy
+    must match it bit for bit.
+    """
+    k, dt, g = params.accel, params.dt, params.kalman_gain
+    rng = np.random.default_rng(params.seed)
+    t = prior = x2 = v2 = total = 0.0
+    for _ in range(params.steps):
+        t = t + dt
+        p = 0.5 * k * t * t
+        reading = p + rng.normal(0.0, params.noise_sigma)
+        f = (1.0 - g) * prior + g * reading
+        x2, v2 = f + v2 * dt + 0.5 * k * dt * dt, v2 + k * dt
+        prior = x2 if params.mode == "context" else f
+        total = total + abs(f - p)
+    return total / params.steps
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)),
+    gain=st.floats(0.0, 1.0),
+    trials=st.integers(1, 12),
+    steps=st.sampled_from([1, 2, 63, 64, 65, 70, 130]),
+)
+def test_batched_experiment_equals_per_episode_runs(seed, sigma, gain, trials, steps):
+    params = ServoParams(
+        duration=steps * 0.05, noise_sigma=sigma, kalman_gain=gain, seed=seed, trials=trials
+    )
+    assert params.steps == steps
+    summary = servo.run_experiment(params)
+    assert len(summary.rows) == 2 * trials
+    for row in summary.rows:
+        single = replace(params, mode=row.mode, seed=seed + row.trial)
+        episode = servo.run_episode(single)
+        assert row.mean_error == episode.mean_error
+        assert episode.mean_error == noisy_mean_error(single)
 
 
 # ---------------------------------------------------------------------------
