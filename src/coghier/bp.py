@@ -31,7 +31,6 @@ from .kernel import (
     KernelError,
     Tagged,
     default_spaces,
-    emit_nothing,
     make_world_node_spec,
 )
 
@@ -69,20 +68,16 @@ class Processor:
     parent: str | None = None
     children: tuple[str, ...] = ()
     cond_matrix: np.ndarray | None = None
-    diagnostic: np.ndarray | None = None
     causal: np.ndarray | None = None
     external_input: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.feature_dim
-        uniform = np.full(n, 1.0 / n)
-        if self.diagnostic is None:
-            object.__setattr__(self, "diagnostic", uniform.copy())
         if self.causal is None:
-            object.__setattr__(self, "causal", uniform.copy())
+            object.__setattr__(self, "causal", np.full(n, 1.0 / n))
         if self.external_input is None:
             object.__setattr__(self, "external_input", np.ones(n))
-        for name in ("diagnostic", "causal", "external_input"):
+        for name in ("causal", "external_input"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.cond_matrix is not None:
             object.__setattr__(self, "cond_matrix", np.asarray(self.cond_matrix, dtype=float))
@@ -128,8 +123,7 @@ def tree_violations(tree: CausalTree) -> list[str]:
         p = procs[pid]
         if p.feature_dim < 2:
             bad.append(f"{pid!r}: feature_dim must be at least 2")
-        supported = (("diagnostic", False), ("causal", pid == tree.root), ("external_input", True))
-        for vec_name, needs_support in supported:
+        for vec_name, needs_support in (("causal", pid == tree.root), ("external_input", True)):
             vec = getattr(p, vec_name)
             if vec.shape != (p.feature_dim,):
                 bad.append(f"{pid!r}: {vec_name} has shape {vec.shape}, expected ({p.feature_dim},)")
@@ -277,7 +271,6 @@ def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
                     lower=child_id,
                     upper=pid,
                     sensing_fn=_child_sensing_fn(p, k, child),
-                    task_param_fn=emit_nothing,
                     context_fn=_context_fn(p, k, child),
                 )
             )
@@ -300,7 +293,8 @@ def _processor_node(p: Processor, m: int) -> CognitiveNodeSpec:
             raise ValueError(f"expected a single context value, got {len(contexts)}")
         return belief[0], contexts[0]
 
-    initial = (tuple(p.diagnostic.copy() for _ in range(m + 1)), p.causal.copy())
+    # Every slot is written by the first sensing sweep, so its starting value never shows.
+    initial = ((np.full(p.feature_dim, 1.0 / p.feature_dim),) * (m + 1), p.causal.copy())
     return CognitiveNodeSpec(
         node_id=p.id,
         spaces=default_spaces(p.id),
@@ -370,11 +364,11 @@ def initial_world_state(tree: CausalTree) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    passed: bool
-    max_deviation: float
-    ticks: int
-    converged: bool
-    tolerance: float
+    passed: bool = False
+    max_deviation: float = math.inf
+    ticks: int = 0
+    converged: bool = False
+    tolerance: float = 1e-9
     degenerate: tuple[str, ...] = ()
     detail: str = ""
 
@@ -389,10 +383,6 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
     oracle = bp_propagate(tree)
     if oracle.degenerate:
         return EquivalenceReport(
-            passed=False,
-            max_deviation=math.inf,
-            ticks=0,
-            converged=False,
             tolerance=tolerance,
             degenerate=tuple(sorted(oracle.degenerate)),
             detail="reference propagation hit contradictory evidence",
@@ -418,24 +408,11 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
             deviation = max(deviation, float(np.max(np.abs(bel - oracle.beliefs[pid]))))
     except DegenerateBeliefError as exc:
         return EquivalenceReport(
-            passed=False,
-            max_deviation=math.inf,
-            ticks=ticks,
-            converged=False,
-            tolerance=tolerance,
-            degenerate=(str(exc.where),),
-            detail=str(exc),
+            ticks=ticks, tolerance=tolerance, degenerate=(str(exc.where),), detail=str(exc)
         )
     passed = converged and deviation < tolerance
     detail = "" if converged else f"no fixpoint within {max_ticks} ticks"
-    return EquivalenceReport(
-        passed=passed,
-        max_deviation=deviation,
-        ticks=ticks,
-        converged=converged,
-        tolerance=tolerance,
-        detail=detail,
-    )
+    return EquivalenceReport(passed, deviation, ticks, converged, tolerance, detail=detail)
 
 
 # ---------------------------------------------------------------------------

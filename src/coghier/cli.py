@@ -33,14 +33,6 @@ def _fmt_vector(vec) -> str:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         doc = _load_json(args.path)
-    except ValueError as exc:
-        print(f"parse error in {args.path}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         kind = documents.document_kind(doc)
         if kind == "tree":
             tree = bp.tree_from_document(doc)
@@ -48,6 +40,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         else:
             hierarchy = documents.load_hierarchy_document(doc)
             violations = kernel.validate(hierarchy).format_lines()
+    except OSError as exc:
+        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
+        return 2
     except (documents.DocumentError, ValueError) as exc:
         print(f"parse error in {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -61,12 +56,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_equivalence(name: str, tree: bp.CausalTree, tolerance: float) -> bool:
+    """Check one tree, print its result line(s) and return whether it passed."""
+    report = bp.equivalence_check(tree, tolerance=tolerance)
+    status = "PASS" if report.passed else "FAIL"
+    extra = f" ({report.detail})" if report.detail else ""
+    print(
+        f"{name}: {status} nodes={len(tree.processors)} "
+        f"max_deviation={report.max_deviation:.3e} ticks={report.ticks}{extra}"
+    )
+    if report.degenerate:
+        print(f"{name}: degenerate evidence at {', '.join(report.degenerate)}")
+    return report.passed
+
+
 def cmd_bp(args: argparse.Namespace) -> int:
     if not 0 <= args.tolerance < math.inf:
         print("bad parameters: tolerance must be finite and non-negative", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("bad parameters: seed must be non-negative", file=sys.stderr)
+        return 2
 
-    trees: list[tuple[str, bp.CausalTree]] = []
     if args.path:
         try:
             tree = bp.tree_from_document(_load_json(args.path))
@@ -80,33 +91,22 @@ def cmd_bp(args: argparse.Namespace) -> int:
         if bad:
             print(f"invalid tree in {args.path}: {'; '.join(bad)}", file=sys.stderr)
             return 2
-        trees.append((os.path.basename(args.path), tree))
-    else:
-        rng = np.random.default_rng(args.seed)
+        passed = _report_equivalence(os.path.basename(args.path), tree, args.tolerance)
+        table = bp.bp_propagate(tree)
+        for pid in sorted(table.beliefs):
+            print(f"BEL({pid}) = {_fmt_vector(table.beliefs[pid])}")
+        return 0 if passed else 1
+
+    # Each tree is checked as soon as it is drawn, so only one is held at a time.
+    rng = np.random.default_rng(args.seed)
+    all_passed = True
+    for i in range(args.random):
         try:
-            for i in range(args.random):
-                tree = bp.random_tree(rng, args.max_depth, args.max_branch, (2, args.max_dim))
-                trees.append((f"tree-{i:03d}", tree))
+            tree = bp.random_tree(rng, args.max_depth, args.max_branch, (2, args.max_dim))
         except ValueError as exc:
             print(f"bad parameters: {exc}", file=sys.stderr)
             return 2
-
-    all_passed = True
-    for name, tree in trees:
-        report = bp.equivalence_check(tree, tolerance=args.tolerance)
-        status = "PASS" if report.passed else "FAIL"
-        extra = f" ({report.detail})" if report.detail else ""
-        print(
-            f"{name}: {status} nodes={len(tree.processors)} "
-            f"max_deviation={report.max_deviation:.3e} ticks={report.ticks}{extra}"
-        )
-        if report.degenerate:
-            print(f"{name}: degenerate evidence at {', '.join(report.degenerate)}")
-        all_passed = all_passed and report.passed
-    if args.path:
-        table = bp.bp_propagate(trees[0][1])
-        for pid in sorted(table.beliefs):
-            print(f"BEL({pid}) = {_fmt_vector(table.beliefs[pid])}")
+        all_passed = _report_equivalence(f"tree-{i:03d}", tree, args.tolerance) and all_passed
     return 0 if all_passed else 1
 
 
@@ -195,7 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("COGHIER_LOG_LEVEL", "WARNING"))
+    level = os.environ.get("COGHIER_LOG_LEVEL", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        names = "DEBUG, INFO, WARNING, ERROR or CRITICAL, in any case"
+        print(f"bad environment: COGHIER_LOG_LEVEL={level!r} is not {names}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "bp" and not args.path and args.random <= 0:

@@ -23,7 +23,6 @@ from .kernel import (
     CognitiveNodeSpec,
     EdgeTriple,
     Hierarchy,
-    default_spaces,
     emit_nothing,
     make_world_node_spec,
 )
@@ -121,19 +120,6 @@ def document_kind(doc: Any) -> str:
 # Built-in bundles
 
 
-def _inert_node(node_id: str) -> CognitiveNodeSpec:
-    return CognitiveNodeSpec(
-        node_id=node_id,
-        spaces=default_spaces(node_id),
-        policies={"idle": lambda _belief: ()},
-        policy_selector=lambda _task_params: "idle",
-        observation_update=lambda _obs, belief: belief,
-        prediction_update=lambda _ctx, _actions, belief: belief,
-        initial_belief=None,
-        initial_policy="idle",
-    )
-
-
 # Demo hierarchies whose nodes and edges are registered as ``<name>.<node id>``
 # and ``<name>.edge`` bundles.
 _DEMOS: dict[str, Callable[[], Hierarchy]] = {
@@ -145,8 +131,8 @@ _DEMOS: dict[str, Callable[[], Hierarchy]] = {
 def default_registry() -> OperatorRegistry:
     """Registry with the built-in bundles: noop, word/letter demo, servo."""
     registry = OperatorRegistry()
-    registry.register_node("noop.node", _inert_node)
-    registry.register_node("noop.world", lambda nid: make_world_node_spec(nid))
+    registry.register_node("noop.node", make_world_node_spec)  # without actuate it is inert
+    registry.register_node("noop.world", make_world_node_spec)
     registry.register_edge("noop.edge", lambda lower, upper: (emit_nothing, emit_nothing, emit_nothing))
     for name, build in _DEMOS.items():
         hierarchy = build()

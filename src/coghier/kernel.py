@@ -125,31 +125,27 @@ class CognitiveNodeSpec:
 
 
 def make_world_node_spec(
-    node_id: str,
-    actuate: Callable[[tuple, Any], Any] | None = None,
-    spaces: NodeValueSpaces | None = None,
+    node_id: str, actuate: Callable[[tuple, Any], Any] | None = None
 ) -> CognitiveNodeSpec:
     """Build the opaque world node.
 
     The world node never senses and never runs a policy. During the
     prediction sweep the kernel hands it the task parameters gathered from
     its upper neighbours; ``actuate(task_params, world_state)`` must return
-    the new world state. Without ``actuate`` the world state is left alone.
+    the new world state. Without ``actuate`` the world state is left alone,
+    and the spec serves as an inert non-world node too.
     """
-
-    def _update(contexts: tuple, task_params: tuple, world_state: Any) -> Any:
-        del contexts
-        if actuate is None:
-            return world_state
-        return actuate(task_params, world_state)
-
     return CognitiveNodeSpec(
         node_id=node_id,
-        spaces=spaces or default_spaces(node_id),
+        spaces=default_spaces(node_id),
         policies={"idle": lambda _belief: ()},
         policy_selector=lambda _task_params: "idle",
         observation_update=lambda _obs, belief: belief,
-        prediction_update=_update,
+        prediction_update=(
+            (lambda _contexts, _task_params, world_state: world_state)
+            if actuate is None
+            else lambda _contexts, task_params, world_state: actuate(task_params, world_state)
+        ),
         initial_belief=None,
         initial_policy="idle",
     )
@@ -182,22 +178,9 @@ class Hierarchy:
     world_node: str
     edges: tuple[EdgeTriple, ...]
 
-    def __post_init__(self) -> None:
-        by_id = {spec.node_id: spec for spec in self.nodes}
-        into: dict[str, list[EdgeTriple]] = {nid: [] for nid in by_id}
-        above: dict[str, list[EdgeTriple]] = {nid: [] for nid in by_id}
-        for edge in self.edges:
-            if edge.upper in into:
-                into[edge.upper].append(edge)
-            if edge.lower in above:
-                above[edge.lower].append(edge)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(
-            self, "_into", {k: tuple(sorted(v, key=lambda e: e.lower)) for k, v in into.items()}
-        )
-        object.__setattr__(
-            self, "_above", {k: tuple(sorted(v, key=lambda e: e.upper)) for k, v in above.items()}
-        )
+    @cached_property
+    def _by_id(self) -> dict[str, CognitiveNodeSpec]:
+        return {spec.node_id: spec for spec in self.nodes}
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -206,17 +189,9 @@ class Hierarchy:
     def node(self, node_id: str) -> CognitiveNodeSpec:
         return self._by_id[node_id]
 
-    def sensing_sources(self, node_id: str) -> tuple[EdgeTriple, ...]:
-        """Edges delivering observations to ``node_id``, sorted by source."""
-        return self._into[node_id]
-
-    def upper_edges(self, node_id: str) -> tuple[EdgeTriple, ...]:
-        """Edges connecting ``node_id`` to its upper neighbours, sorted."""
-        return self._above[node_id]
-
     @cached_property
-    def _schedule(self) -> "tuple[_Phase, _Phase]":
-        """Both sweeps, compiled on first use; the hierarchy is frozen."""
+    def _schedule(self) -> "tuple[dict[str, _NodePlan], _Phase, _Phase]":
+        """Node plans by id and both sweeps, compiled on first use; the hierarchy is frozen."""
         return _compile_schedule(self)
 
 
@@ -434,17 +409,6 @@ class _NodePlan(NamedTuple):
     uppers: tuple[EdgeTriple, ...]
 
 
-def _node_plan(hierarchy: Hierarchy, node_id: str) -> _NodePlan:
-    spec, world = hierarchy.node(node_id), hierarchy.world_node
-    spaces = spec.spaces
-    return _NodePlan(
-        spec, node_id == world,
-        spaces.observation_space, spaces.task_param_space, spaces.context_space,
-        tuple((e, e.lower == world) for e in hierarchy.sensing_sources(node_id)),
-        hierarchy.upper_edges(node_id),
-    )
-
-
 def _sense(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -> Any:
     """One node's sensing step, written into ``active``; returns the world state."""
     node_id, tag = plan.spec.node_id, plan.observation_tag
@@ -508,19 +472,35 @@ class _Phase(NamedTuple):
     plans: tuple[_NodePlan, ...]
 
 
-def _compile_schedule(hierarchy: Hierarchy) -> tuple[_Phase, _Phase]:
-    """The sensing and the prediction sweep, each in its canonical order."""
-    plans = {nid: _node_plan(hierarchy, nid) for nid in hierarchy.node_ids}
-    return tuple(
+def _compile_schedule(hierarchy: Hierarchy) -> tuple[dict[str, _NodePlan], _Phase, _Phase]:
+    """Every node's plan by id, then the sensing and the prediction sweep in canonical order."""
+    world = hierarchy.world_node
+    into: dict[str, list[tuple[EdgeTriple, bool]]] = {nid: [] for nid in hierarchy.node_ids}
+    above: dict[str, list[EdgeTriple]] = {nid: [] for nid in hierarchy.node_ids}
+    for edge in sorted(hierarchy.edges, key=lambda e: (e.lower, e.upper)):
+        into[edge.upper].append((edge, edge.lower == world))
+        above[edge.lower].append(edge)
+    plans = {
+        nid: _NodePlan(
+            spec, nid == world,
+            spec.spaces.observation_space, spec.spaces.task_param_space, spec.spaces.context_space,
+            tuple(into[nid]), tuple(above[nid]),
+        )
+        for nid, spec in hierarchy._by_id.items()
+    }
+    sensing, prediction = (
         _Phase(name, step, pre, tuple(plans[nid] for nid in canonical_topological_order(pre, pre)))
         for name, step, pre in (
             ("sensing", _sense, sensing_dependencies(hierarchy)),
             ("prediction", _predict, prediction_dependencies(hierarchy)),
         )
     )
+    return plans, sensing, prediction
 
 
-def _check_order(phase: _Phase, order: Iterable[str] | None) -> _Phase:
+def _check_order(
+    plans: Mapping[str, _NodePlan], phase: _Phase, order: Iterable[str] | None
+) -> _Phase:
     """``phase`` in a caller-supplied order, checked against its constraints."""
     if order is None:
         return phase
@@ -532,8 +512,7 @@ def _check_order(phase: _Phase, order: Iterable[str] | None) -> _Phase:
         for p in pre:
             if position[p] > position[nid]:
                 raise ValueError(f"{what} order violates {p!r} before {nid!r}")
-    by_id = {plan.spec.node_id: plan for plan in phase.plans}
-    return phase._replace(plans=tuple(by_id[nid] for nid in order))
+    return phase._replace(plans=tuple(plans[nid] for nid in order))
 
 
 def _sweep(ah: ActiveHierarchy, *phases: _Phase) -> ActiveHierarchy:
@@ -553,7 +532,7 @@ def sensing_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
     """
     if node_id == ah.hierarchy.world_node:
         raise ValueError("the world node does not perform sensing updates")
-    return _sweep(ah, _Phase("sensing", _sense, {}, (_node_plan(ah.hierarchy, node_id),)))
+    return _sweep(ah, _Phase("sensing", _sense, {}, (ah.hierarchy._schedule[0][node_id],)))
 
 
 def prediction_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
@@ -566,21 +545,23 @@ def prediction_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy
     actions in the prediction update. For the world node the gathered task
     parameters are folded into the world state instead.
     """
-    return _sweep(ah, _Phase("prediction", _predict, {}, (_node_plan(ah.hierarchy, node_id),)))
+    return _sweep(ah, _Phase("prediction", _predict, {}, (ah.hierarchy._schedule[0][node_id],)))
 
 
 def sensing_process_update(
     ah: ActiveHierarchy, order: Iterable[str] | None = None
 ) -> ActiveHierarchy:
     """Sweep observations up: every non-world node, sources before sinks."""
-    return _sweep(ah, _check_order(ah.hierarchy._schedule[0], order))
+    plans, sensing, _ = ah.hierarchy._schedule
+    return _sweep(ah, _check_order(plans, sensing, order))
 
 
 def prediction_process_update(
     ah: ActiveHierarchy, order: Iterable[str] | None = None
 ) -> ActiveHierarchy:
     """Sweep task parameters and context down: uppers first, world last."""
-    return _sweep(ah, _check_order(ah.hierarchy._schedule[1], order))
+    plans, _, prediction = ah.hierarchy._schedule
+    return _sweep(ah, _check_order(plans, prediction, order))
 
 
 def process_update(ah: ActiveHierarchy) -> ActiveHierarchy:
@@ -588,7 +569,8 @@ def process_update(ah: ActiveHierarchy) -> ActiveHierarchy:
 
     Both run on one copy of the state, in orders compiled once per hierarchy.
     """
-    return _sweep(ah, *ah.hierarchy._schedule)
+    _, sensing, prediction = ah.hierarchy._schedule
+    return _sweep(ah, sensing, prediction)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,8 @@ class ServoParams:
             raise ValueError(f"mode must be one of {MODES}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def steps(self) -> int:
@@ -170,14 +172,13 @@ def build_servo_hierarchy(params: ServoParams) -> Hierarchy:
             return world
         return ServoWorld(world.elapsed, world.true_position, task_params[0], world.sensor_reading)
 
-    world_node = make_world_node_spec(WORLD, actuate=actuate, spaces=world_spaces)
+    world_node = make_world_node_spec(WORLD, actuate=actuate)
 
     sense_edge = EdgeTriple(
         lower=WORLD,
         upper=FILTER_NODE,
         sensing_fn=lambda world: (Tagged(filter_spaces.observation_space, world.sensor_reading),),
         task_param_fn=lambda actions: [Tagged(world_spaces.task_param_space, a) for a in actions],
-        context_fn=emit_nothing,
     )
 
     relay_edge = EdgeTriple(

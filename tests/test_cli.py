@@ -88,6 +88,8 @@ def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
         ["bp", "--random", "1", "--max-depth", str(bp.MAX_RANDOM_DEPTH + 1)],
         ["bp", "--random", "20", "--max-depth", "20"],
         ["servo", "--trials", str(servo.MAX_TRIALS + 1)],
+        ["servo", "--trials", "1", "--seed", "-1"],
+        ["bp", "--random", "2", "--seed", "-1"],
     ],
 )
 def test_bad_numeric_flags_are_input_errors(capsys, argv):
@@ -163,6 +165,30 @@ def test_bp_negative_tolerance_is_input_error(thecat_tree_doc):
     assert main(["bp", thecat_tree_doc, "--tolerance", "-1"]) == 2
 
 
+def test_bp_random_checks_each_tree_as_soon_as_it_is_drawn(monkeypatch, capsys):
+    """Draws and checks alternate; a cap hit part-way keeps the lines already printed."""
+    events = []
+    draw, check = bp.random_tree, bp.equivalence_check
+
+    def drawing(*args):
+        events.append("draw")
+        if events.count("draw") == 3:
+            raise ValueError("cap reached")
+        return draw(*args)
+
+    def checking(tree, tolerance):
+        events.append("check")
+        return check(tree, tolerance=tolerance)
+
+    monkeypatch.setattr(bp, "random_tree", drawing)
+    monkeypatch.setattr(bp, "equivalence_check", checking)
+    assert main(["bp", "--random", "5", "--seed", "7"]) == 2
+    assert events == ["draw", "check", "draw", "check", "draw"]
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in out.splitlines()] == ["tree-000", "tree-001"]
+    assert err == "bad parameters: cap reached\n"
+
+
 # ---------------------------------------------------------------------------
 # servo
 
@@ -226,6 +252,19 @@ def test_servo_deterministic_without_noise(capsys):
 def test_servo_bad_params_are_input_errors(capsys):
     assert main(["servo", "--dt", "0"]) == 2
     assert "bad parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["debug", "Info", "WARNING", "error"])
+def test_log_level_names_are_accepted_in_any_case(monkeypatch, capsys, level):
+    monkeypatch.setenv("COGHIER_LOG_LEVEL", level)
+    assert main(["servo", "--trials", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", [["servo", "--trials", "1"], ["bp", "--random", "1"]])
+@pytest.mark.parametrize("level", ["loud", "", "10"])
+def test_unknown_log_level_is_input_error(monkeypatch, capsys, command, level):
+    monkeypatch.setenv("COGHIER_LOG_LEVEL", level)
+    assert_one_line_input_error(command, capsys, "bad environment: COGHIER_LOG_LEVEL")
 
 
 @pytest.mark.parametrize(

@@ -83,7 +83,7 @@ def test_document_kind_detection():
 def test_custom_registry_nodes_and_edges():
     registry = documents.OperatorRegistry()
     registry.register_node("w", lambda nid: kernel.make_world_node_spec(nid))
-    registry.register_node("n", documents._inert_node)
+    registry.register_node("n", kernel.make_world_node_spec)
     registry.register_edge(
         "e",
         lambda lower, upper: (

@@ -134,6 +134,22 @@ def test_process_update_equals_a_fold_of_node_updates(wiring, rng):
     assert oracles.active_states_equal(kernel.process_update(start), folded)
 
 
+@given(dag_wirings())
+def test_each_node_reads_exactly_its_edges_in_id_order(wiring):
+    """Observations come in by source id; contexts and world commands by upper id."""
+    hierarchy = build(*wiring)
+    ticked = kernel.process_update(kernel.init_active(hierarchy, "env"))
+    edges = hierarchy.edges
+    for nid in wiring[0][1:]:
+        _, contexts, _, (_, observations, _) = ticked.node(nid).belief
+        sources = [WORLD if obs[0] == "env" else obs[1] for obs in observations]
+        assert sources == sorted(e.lower for e in edges if e.upper == nid)
+        assert [ctx[1] for ctx in contexts] == sorted(e.upper for e in edges if e.lower == nid)
+    _, task_params, _ = ticked.world_state
+    commanders = [actions[0][0] for _, actions in task_params]
+    assert commanders == sorted(e.upper for e in edges if e.lower == WORLD)
+
+
 @given(dag_wirings(), st.randoms(use_true_random=False))
 def test_cycle_violation_names_what_the_reference_search_leaves(wiring, rng):
     ids, pairs = wiring

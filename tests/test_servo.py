@@ -79,6 +79,7 @@ def test_params_allow_exactly_the_trial_cap():
         {"duration": 1e9},
         {"duration": 1e308, "dt": 1e-300},
         {"trials": servo.MAX_TRIALS + 1},
+        {"seed": -1},
     ],
 )
 def test_params_validation(kwargs):
