@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -29,6 +29,7 @@ from .kernel import (
     EdgeTriple,
     Hierarchy,
     KernelError,
+    NodeValueSpaces,
     Tagged,
     default_spaces,
     make_world_node_spec,
@@ -40,6 +41,8 @@ MAX_FEATURE_DIM = 1024
 # Random trees grow exponentially in depth; past these limits they are refused.
 MAX_RANDOM_DEPTH = 64
 MAX_RANDOM_PROCESSORS = 2000
+# Total conditional-matrix entries (processors x n^2 float64 values) a random tree may hold.
+MAX_RANDOM_MATRIX_ENTRIES = 1 << 24
 
 
 class DegenerateBeliefError(KernelError):
@@ -89,11 +92,13 @@ class CausalTree:
     root: str
 
     def depth(self) -> int:
-        def rec(pid: str) -> int:
-            kids = self.processors[pid].children
-            return 1 + max((rec(k) for k in kids), default=-1)
-
-        return rec(self.root)
+        """Edges on the longest root-to-leaf path of a tree without violations."""
+        deepest, stack = 0, [(self.root, 0)]
+        while stack:
+            pid, d = stack.pop()
+            deepest = max(deepest, d)
+            stack.extend((child, d + 1) for child in self.processors[pid].children)
+        return deepest
 
     def topological_ids(self) -> tuple[str, ...]:
         """Parents before children."""
@@ -127,7 +132,7 @@ def tree_violations(tree: CausalTree) -> list[str]:
             vec = getattr(p, vec_name)
             if vec.shape != (p.feature_dim,):
                 bad.append(f"{pid!r}: {vec_name} has shape {vec.shape}, expected ({p.feature_dim},)")
-            elif np.any(vec < 0):
+            elif (vec < 0).any():
                 bad.append(f"{pid!r}: {vec_name} has negative entries")
             elif needs_support and not vec.any():
                 bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
@@ -144,9 +149,9 @@ def tree_violations(tree: CausalTree) -> list[str]:
                 expected = (p.feature_dim, c.feature_dim)
                 if c.cond_matrix.shape != expected:
                     bad.append(f"{child!r}: conditional matrix shape {c.cond_matrix.shape}, expected {expected}")
-                elif np.any(np.abs(c.cond_matrix.sum(axis=1) - 1.0) > 1e-12):
+                elif (np.abs(np.add.reduce(c.cond_matrix, axis=1) - 1.0) > 1e-12).any():
                     bad.append(f"{child!r}: conditional matrix rows do not sum to 1")
-                elif np.any(c.cond_matrix < 0):
+                elif (c.cond_matrix < 0).any():
                     bad.append(f"{child!r}: conditional matrix has negative entries")
             stack.append(child)
     if procs[tree.root].parent is not None:
@@ -170,7 +175,7 @@ class BeliefTable:
 
 
 def _normalize(vec: np.ndarray) -> np.ndarray | None:
-    total = float(vec.sum())
+    total = float(np.add.reduce(vec, axis=None))  # what vec.sum() reduces, minus its Python wrapper
     if total <= 0.0:
         return None
     return vec / total
@@ -257,27 +262,29 @@ def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
     if tree_violations(tree):
         raise ValueError("cannot encode an ill-formed tree")
     procs = tree.processors
+    order = tree.topological_ids()
+    spaces = {pid: default_spaces(pid) for pid in order}
     nodes: list[CognitiveNodeSpec] = [make_world_node_spec(world_id)]
     edges: list[EdgeTriple] = []
 
-    for pid in tree.topological_ids():
-        p = procs[pid]
-        nodes.append(_processor_node(p, len(p.children)))
-        edges.append(EdgeTriple(lower=world_id, upper=pid, sensing_fn=_external_sensing_fn(p)))
+    for pid in order:
+        p, obs_tag = procs[pid], spaces[pid].observation_space
+        nodes.append(_processor_node(p, len(p.children), spaces[pid]))
+        edges.append(EdgeTriple(world_id, pid, _external_sensing_fn(p, obs_tag)))
         for k, child_id in enumerate(p.children, start=1):
             child = procs[child_id]
             edges.append(
                 EdgeTriple(
                     lower=child_id,
                     upper=pid,
-                    sensing_fn=_child_sensing_fn(p, k, child),
-                    context_fn=_context_fn(p, k, child),
+                    sensing_fn=_child_sensing_fn(obs_tag, k, child),
+                    context_fn=_context_fn(spaces[child_id].context_space, k, child),
                 )
             )
     return Hierarchy(nodes=tuple(nodes), world_node=world_id, edges=tuple(edges))
 
 
-def _processor_node(p: Processor, m: int) -> CognitiveNodeSpec:
+def _processor_node(p: Processor, m: int, spaces: NodeValueSpaces) -> CognitiveNodeSpec:
     def observation_update(observations: tuple, belief: tuple) -> tuple:
         slots, causal = belief
         slots = list(slots)
@@ -297,7 +304,7 @@ def _processor_node(p: Processor, m: int) -> CognitiveNodeSpec:
     initial = ((np.full(p.feature_dim, 1.0 / p.feature_dim),) * (m + 1), p.causal.copy())
     return CognitiveNodeSpec(
         node_id=p.id,
-        spaces=default_spaces(p.id),
+        spaces=spaces,
         policies={"idle": lambda _belief: ()},
         policy_selector=lambda _task_params: "idle",
         observation_update=observation_update,
@@ -307,9 +314,7 @@ def _processor_node(p: Processor, m: int) -> CognitiveNodeSpec:
     )
 
 
-def _external_sensing_fn(p: Processor):
-    obs_tag = default_spaces(p.id).observation_space
-
+def _external_sensing_fn(p: Processor, obs_tag: str):
     def sensing(world_state: Mapping[str, np.ndarray]) -> tuple[Tagged, ...]:
         vec = _normalize(np.asarray(world_state[p.id], dtype=float))
         if vec is None:
@@ -319,8 +324,7 @@ def _external_sensing_fn(p: Processor):
     return sensing
 
 
-def _child_sensing_fn(parent: Processor, k: int, child: Processor):
-    obs_tag = default_spaces(parent.id).observation_space
+def _child_sensing_fn(obs_tag: str, k: int, child: Processor):
     matrix = child.cond_matrix
 
     def sensing(belief: tuple) -> tuple[Tagged, ...]:
@@ -336,8 +340,7 @@ def _child_sensing_fn(parent: Processor, k: int, child: Processor):
     return sensing
 
 
-def _context_fn(parent: Processor, k: int, child: Processor):
-    ctx_tag = default_spaces(child.id).context_space
+def _context_fn(ctx_tag: str, k: int, child: Processor):
     matrix = child.cond_matrix
 
     def context(belief: tuple) -> tuple[Tagged, ...]:
@@ -480,21 +483,19 @@ def random_tree(
         nonlocal counter
         if counter == MAX_RANDOM_PROCESSORS:
             raise ValueError(f"random tree would grow past {MAX_RANDOM_PROCESSORS} processors")
+        if (counter + 1) * n * n > MAX_RANDOM_MATRIX_ENTRIES:
+            raise ValueError(
+                f"random tree matrices would hold more than {MAX_RANDOM_MATRIX_ENTRIES} entries"
+            )
         pid = f"P{counter}"
         counter += 1
         n_children = int(rng.integers(0, max_branching + 1)) if depth < max_depth else 0
-        child_ids = []
-        procs[pid] = Processor(
-            id=pid,
-            feature_dim=n,
-            parent=parent,
-            cond_matrix=None if parent is None else rand_matrix(),
-            causal=rand_vec() if parent is None else None,
-            external_input=rand_vec(),
-        )
-        for _ in range(n_children):
-            child_ids.append(build(pid, depth + 1))
-        procs[pid] = replace(procs[pid], children=tuple(child_ids))
+        matrix = None if parent is None else rand_matrix()
+        causal = rand_vec() if parent is None else None
+        external_input = rand_vec()
+        procs[pid] = None  # holds the parent's place ahead of its children
+        children = tuple(build(pid, depth + 1) for _ in range(n_children))
+        procs[pid] = Processor(pid, n, parent, children, matrix, causal, external_input)
         return pid
 
     root = build(None, 0)

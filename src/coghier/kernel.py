@@ -385,16 +385,13 @@ def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
 # Update operations
 
 
-def _collect(emitted: Iterable[Tagged], tag: str, into: list, node: str, edge: EdgeTriple) -> None:
-    for item in emitted:
-        if not isinstance(item, Tagged):
-            problem = f"edge emitted an untagged payload of type {type(item).__name__}"
-        elif item.tag != tag:
-            problem = f"edge emitted tag {item.tag!r}, node expects {tag!r}"
-        else:
-            into.append(item.value)
-            continue
-        raise TagMismatchError(problem, node=node, edge=(edge.lower, edge.upper))
+def _tag_error(item: Any, tag: str, node: str, edge: tuple[str, str]) -> TagMismatchError:
+    """The error for an emitted ``item`` that is not a :class:`Tagged` with ``tag``."""
+    if isinstance(item, Tagged):
+        problem = f"edge emitted tag {item.tag!r}, node expects {tag!r}"
+    else:
+        problem = f"edge emitted an untagged payload of type {type(item).__name__}"
+    return TagMismatchError(problem, node=node, edge=edge)
 
 
 class _NodePlan(NamedTuple):
@@ -405,26 +402,28 @@ class _NodePlan(NamedTuple):
     observation_tag: str
     task_param_tag: str
     context_tag: str
-    sources: tuple[tuple[EdgeTriple, bool], ...]  # incoming sensing edges, "lower is world"
-    uppers: tuple[EdgeTriple, ...]
+    sources: tuple[tuple[str, bool, Callable], ...]  # (lower id, "lower is world", sensing_fn)
+    uppers: tuple[tuple[str, Callable, Callable], ...]  # (upper id, task_param_fn, context_fn)
 
 
 def _sense(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -> Any:
     """One node's sensing step, written into ``active``; returns the world state."""
     node_id, tag = plan.spec.node_id, plan.observation_tag
     observations: list[Any] = []
-    edge = None  # the edge in progress; None while the node's own operators run
+    lower = None  # the edge in progress runs from here; None while the node's own operators run
     try:
-        for edge, from_world in plan.sources:
-            lower = world_state if from_world else active[edge.lower].belief
-            _collect(edge.sensing_fn(lower), tag, observations, node_id, edge)
-        edge = None
+        for lower, from_world, sensing_fn in plan.sources:
+            for item in sensing_fn(world_state if from_world else active[lower].belief):
+                if not isinstance(item, Tagged) or item.tag != tag:
+                    raise _tag_error(item, tag, node_id, (lower, node_id))
+                observations.append(item.value)
+        lower = None
         current = active[node_id]
         belief = plan.spec.observation_update(tuple(observations), current.belief)
     except KernelError:
         raise
     except Exception as exc:
-        pair = None if edge is None else (edge.lower, edge.upper)
+        pair = None if lower is None else (lower, node_id)
         raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
     active[node_id] = ActiveNode(node_id, belief, current.policy, current.actions)
     return world_state
@@ -436,13 +435,19 @@ def _predict(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -
     node_id = spec.node_id
     task_params: list[Any] = []
     contexts: list[Any] = []
-    edge = None
+    upper = None  # the edge in progress runs to here
     try:
-        for edge in uppers:
-            upper_active = active[edge.upper]
-            _collect(edge.task_param_fn(upper_active.actions), task_tag, task_params, node_id, edge)
-            _collect(edge.context_fn(upper_active.belief), context_tag, contexts, node_id, edge)
-        edge = None
+        for upper, task_param_fn, context_fn in uppers:
+            upper_active = active[upper]
+            for item in task_param_fn(upper_active.actions):
+                if not isinstance(item, Tagged) or item.tag != task_tag:
+                    raise _tag_error(item, task_tag, node_id, (node_id, upper))
+                task_params.append(item.value)
+            for item in context_fn(upper_active.belief):
+                if not isinstance(item, Tagged) or item.tag != context_tag:
+                    raise _tag_error(item, context_tag, node_id, (node_id, upper))
+                contexts.append(item.value)
+        upper = None
         if is_world:
             return spec.prediction_update(tuple(contexts), tuple(task_params), world_state)
         current = active[node_id]
@@ -457,7 +462,7 @@ def _predict(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -
     except KernelError:
         raise
     except Exception as exc:
-        pair = None if edge is None else (edge.lower, edge.upper)
+        pair = None if upper is None else (node_id, upper)
         raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
     active[node_id] = ActiveNode(node_id, belief, policy_id, actions)
     return world_state
@@ -475,11 +480,11 @@ class _Phase(NamedTuple):
 def _compile_schedule(hierarchy: Hierarchy) -> tuple[dict[str, _NodePlan], _Phase, _Phase]:
     """Every node's plan by id, then the sensing and the prediction sweep in canonical order."""
     world = hierarchy.world_node
-    into: dict[str, list[tuple[EdgeTriple, bool]]] = {nid: [] for nid in hierarchy.node_ids}
-    above: dict[str, list[EdgeTriple]] = {nid: [] for nid in hierarchy.node_ids}
+    into: dict[str, list[tuple[str, bool, Callable]]] = {nid: [] for nid in hierarchy.node_ids}
+    above: dict[str, list[tuple[str, Callable, Callable]]] = {nid: [] for nid in hierarchy.node_ids}
     for edge in sorted(hierarchy.edges, key=lambda e: (e.lower, e.upper)):
-        into[edge.upper].append((edge, edge.lower == world))
-        above[edge.lower].append(edge)
+        into[edge.upper].append((edge.lower, edge.lower == world, edge.sensing_fn))
+        above[edge.lower].append((edge.upper, edge.task_param_fn, edge.context_fn))
     plans = {
         nid: _NodePlan(
             spec, nid == world,
@@ -578,20 +583,36 @@ def process_update(ah: ActiveHierarchy) -> ActiveHierarchy:
 
 
 def payloads_close(a: Any, b: Any, atol: float) -> bool:
-    """Structural equality of nested tuples, arrays and scalars, numeric leaves within atol."""
+    """Structural equality of nested tuples, lists, dicts, arrays and scalars within atol.
+
+    One walk compares keys, lengths, scalars and array shapes; the array
+    leaves are then compared in one vectorised pass, as ``np.allclose`` with
+    ``rtol=0`` would compare each of them.
+    """
     import numpy as np
 
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if a_arr.shape != b_arr.shape:
-            return False
-        with np.errstate(invalid="ignore"):  # np.allclose(rtol=0) without its per-call set-up
-            close = (np.abs(a_arr - b_arr) <= atol) & np.isfinite(b_arr) | (a_arr == b_arr)
-            return bool(close.all())
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return len(a) == len(b) and all(payloads_close(x, y, atol) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(payloads_close(a[k], b[k], atol) for k in a)
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(float(a) - float(b)) <= atol
-    return bool(a == b)
+    lefts: list[Any] = []  # the array leaves of a, and of b, flattened
+    rights: list[Any] = []
+
+    def walk(a: Any, b: Any) -> bool:  # False at any mismatch but array values, queued
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            lefts.append(a_arr.ravel())
+            rights.append(b_arr.ravel())
+            return a_arr.shape == b_arr.shape
+        if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+            return len(a) == len(b) and all(map(walk, a, b))
+        if isinstance(a, dict) and isinstance(b, dict):
+            return a.keys() == b.keys() and all(walk(a[k], b[k]) for k in a)
+        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+            return abs(float(a) - float(b)) <= atol
+        return bool(a == b)
+
+    if not walk(a, b):
+        return False
+    if not lefts:
+        return True
+    a_all, b_all = np.concatenate(lefts), np.concatenate(rights)
+    with np.errstate(invalid="ignore"):  # np.allclose(rtol=0) without its per-call set-up
+        close = (np.abs(a_all - b_all) <= atol) & np.isfinite(b_all) | (a_all == b_all)
+        return bool(close.all())

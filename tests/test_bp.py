@@ -1,6 +1,8 @@
 """Tree propagation vs brute-force enumeration, and the hierarchy embedding."""
 
+import hashlib
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -373,6 +375,34 @@ def test_random_tree_checks_its_size_before_each_processor(monkeypatch):
     monkeypatch.setattr(bp, "MAX_RANDOM_PROCESSORS", size - 1)
     with pytest.raises(ValueError, match=f"past {size - 1} processors"):
         bp.random_tree(np.random.default_rng(5), max_depth=6)
+
+
+def test_random_tree_checks_its_matrix_entries_before_each_processor(monkeypatch):
+    tree = bp.random_tree(np.random.default_rng(5), max_depth=6)
+    entries = len(tree.processors) * tree.processors[tree.root].feature_dim ** 2
+    monkeypatch.setattr(bp, "MAX_RANDOM_MATRIX_ENTRIES", entries)
+    at_cap = bp.random_tree(np.random.default_rng(5), max_depth=6)
+    assert bp.tree_to_document(at_cap) == bp.tree_to_document(tree)
+    monkeypatch.setattr(bp, "MAX_RANDOM_MATRIX_ENTRIES", entries - 1)
+    with pytest.raises(ValueError, match=f"more than {entries - 1} entries"):
+        bp.random_tree(np.random.default_rng(5), max_depth=6)
+
+
+@pytest.mark.parametrize(
+    "seed, depth, digest",
+    [
+        (7, 4, "12ed61559b57722f477afe18bfeb2ce305cbc1c2ab3b868f9f35bea5c0d6071b"),
+        (7, 6, "694d6f7f5ddcaeeb2db48dcefd13fcd13e4848d91063727f08d2bad63655aa38"),
+        (1001, 4, "c08bf60d69072aadb5257b1fb83e49a2565076c243791a216418b8f5322b06f5"),
+        (1001, 6, "a2d84a2c433685a8a75a2ceabc6f5a6ac036f0134bdf6c2c795b6af7ebcd9f7f"),
+    ],
+)
+def test_random_tree_draws_are_pinned(seed, depth, digest):
+    """The generator's draws, their order and the processors' order stay as recorded."""
+    tree = bp.random_tree(np.random.default_rng(seed), max_depth=depth)
+    text = json.dumps(bp.tree_to_document(tree))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert list(tree.processors) == list(tree.topological_ids())
 
 
 def test_tree_violations_catch_bad_matrix():

@@ -603,3 +603,55 @@ def test_payloads_close_on_arrays_agrees_with_allclose(data, shape, offset, atol
         for x, y in ((a, b), (b, a)):
             expected = x.shape == y.shape and bool(np.allclose(x, y, rtol=0, atol=atol))
             assert kernel.payloads_close(x, y, atol) is expected
+
+
+LEAF_VALUES = st.sampled_from([0.0, -0.0, 1e-13, 1.0, -2.5, np.nan, np.inf, -np.inf])
+LEAF_SHAPES = st.sampled_from([None, (), (0,), (3,), (2, 2)])  # None: a Python float
+
+
+def leaf(draw, shape):
+    if shape is None:
+        return draw(LEAF_VALUES)
+    return draw(arrays(np.float64, shape, elements=LEAF_VALUES))
+
+
+@st.composite
+def leaf_pairs(draw):
+    """A scalar or array and a partner: equal, shifted, unrelated, or the array as nested lists."""
+    a = leaf(draw, draw(LEAF_SHAPES))
+    how = draw(st.sampled_from(["equal", "shifted", "unrelated", "lists"]))
+    if how == "equal":
+        return a, a.copy() if isinstance(a, np.ndarray) else a
+    if how == "shifted":
+        return a, a + draw(st.sampled_from([1e-13, 1e-12, 0.5]))
+    if how == "lists" and isinstance(a, np.ndarray):
+        return a, a.tolist()
+    return a, leaf(draw, draw(LEAF_SHAPES))
+
+
+@st.composite
+def payload_pairs(draw, depth=2):
+    """Two nested dict/tuple/list payloads of one shape, some of whose keys or lengths differ."""
+    kind = draw(st.sampled_from(["leaf", "sequence", "dict"] if depth else ["leaf"]))
+    if kind == "leaf":
+        return draw(leaf_pairs())
+    if kind == "sequence":
+        pairs = draw(st.lists(payload_pairs(depth - 1), max_size=3))
+        a, b = [x for x, _ in pairs], [y for _, y in pairs]
+        if draw(st.integers(0, 3)) == 0:  # one side longer
+            b.append(draw(leaf_pairs())[0])
+        return draw(st.sampled_from([tuple, list]))(a), draw(st.sampled_from([tuple, list]))(b)
+    keys = draw(st.lists(st.sampled_from("uvwxyz"), unique=True, max_size=3))
+    pairs = [draw(payload_pairs(depth - 1)) for _ in keys]
+    a, b = {k: x for k, (x, _) in zip(keys, pairs)}, {k: y for k, (_, y) in zip(keys, pairs)}
+    if keys and draw(st.integers(0, 3)) == 0:  # one key renamed, or moved last
+        b[draw(st.sampled_from(["", keys[0]]))] = b.pop(keys[0])
+    return a, b
+
+
+@settings(max_examples=300)
+@given(pair=payload_pairs(), atol=st.sampled_from([0.0, 1e-12, 1.0, np.inf]))
+def test_payloads_close_agrees_with_the_per_leaf_oracle(pair, atol):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        assert kernel.payloads_close(x, y, atol) is oracles.payloads_close_per_leaf(x, y, atol)
