@@ -7,10 +7,11 @@ node is the unique sink). One tick of the process model is a full sensing
 sweep followed by a full prediction sweep.
 
 Everything here is functional: update operations take an ``ActiveHierarchy``
-and return a new one, so a failed tick leaves the caller's state untouched.
-Values exchanged between nodes travel as tagged payloads; the kernel checks
-the tag against the receiving node's declared value spaces and never looks
-at the payload itself.
+and return a new one, so a failed tick leaves the caller's state untouched
+as long as operators and edge functions build new payloads instead of
+mutating the ones they receive (nothing enforces that yet). Values travel
+between nodes as tagged payloads; the kernel checks each tag against the
+receiving node's declared value spaces and never looks at the payload itself.
 """
 
 from __future__ import annotations
@@ -577,42 +578,3 @@ def process_update(ah: ActiveHierarchy) -> ActiveHierarchy:
     _, sensing, prediction = ah.hierarchy._schedule
     return _sweep(ah, sensing, prediction)
 
-
-# ---------------------------------------------------------------------------
-# Structural comparison
-
-
-def payloads_close(a: Any, b: Any, atol: float) -> bool:
-    """Structural equality of nested tuples, lists, dicts, arrays and scalars within atol.
-
-    One walk compares keys, lengths, scalars and array shapes; the array
-    leaves are then compared in one vectorised pass, as ``np.allclose`` with
-    ``rtol=0`` would compare each of them.
-    """
-    import numpy as np
-
-    lefts: list[Any] = []  # the array leaves of a, and of b, flattened
-    rights: list[Any] = []
-
-    def walk(a: Any, b: Any) -> bool:  # False at any mismatch but array values, queued
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-            lefts.append(a_arr.ravel())
-            rights.append(b_arr.ravel())
-            return a_arr.shape == b_arr.shape
-        if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-            return len(a) == len(b) and all(map(walk, a, b))
-        if isinstance(a, dict) and isinstance(b, dict):
-            return a.keys() == b.keys() and all(walk(a[k], b[k]) for k in a)
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            return abs(float(a) - float(b)) <= atol
-        return bool(a == b)
-
-    if not walk(a, b):
-        return False
-    if not lefts:
-        return True
-    a_all, b_all = np.concatenate(lefts), np.concatenate(rights)
-    with np.errstate(invalid="ignore"):  # np.allclose(rtol=0) without its per-call set-up
-        close = (np.abs(a_all - b_all) <= atol) & np.isfinite(b_all) | (a_all == b_all)
-        return bool(close.all())

@@ -43,24 +43,6 @@ def payloads_equal(a: Any, b: Any) -> bool:
     return bool(a == b)
 
 
-def payloads_close_per_leaf(a: Any, b: Any, atol: float) -> bool:
-    """``kernel.payloads_close`` as first written: recursive, one array leaf at a time."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if a_arr.shape != b_arr.shape:
-            return False
-        with np.errstate(invalid="ignore"):
-            close = (np.abs(a_arr - b_arr) <= atol) & np.isfinite(b_arr) | (a_arr == b_arr)
-            return bool(close.all())
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return len(a) == len(b) and all(payloads_close_per_leaf(x, y, atol) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(payloads_close_per_leaf(a[k], b[k], atol) for k in a)
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(float(a) - float(b)) <= atol
-    return bool(a == b)
-
-
 def active_states_equal(a: ActiveHierarchy, b: ActiveHierarchy) -> bool:
     """Bit-identical comparison of two runtime states (world state included)."""
     if a.active.keys() != b.active.keys():

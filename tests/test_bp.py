@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -254,19 +255,6 @@ def test_two_level_random_tree_single_tick_matches_oracle():
         )
 
 
-def test_fixpoint_after_depth_plus_one_ticks():
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        tree = bp.random_tree(rng, max_depth=3)
-        ah = kernel.init_active(bp.encode(tree), bp.initial_world_state(tree))
-        for _ in range(tree.depth() + 1):
-            ah = kernel.process_update(ah)
-        settled = {pid: ah.node(pid).belief for pid in tree.processors}
-        once_more = kernel.process_update(ah)
-        after = {pid: once_more.node(pid).belief for pid in tree.processors}
-        assert kernel.payloads_close(settled, after, 1e-12)
-
-
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 4))
 def test_equivalence_check_settles_after_one_tick(seed, depth):
     # Pearl's two passes are one tick, so the first tick reaches the
@@ -276,6 +264,59 @@ def test_equivalence_check_settles_after_one_tick(seed, depth):
     assert not report.degenerate
     assert report.converged and report.ticks == 2
     assert report.passed
+    oracle = bp.bp_propagate(tree)
+    ah = kernel.process_update(kernel.init_active(bp.encode(tree), bp.initial_world_state(tree)))
+    for pid in tree.processors:
+        assert np.abs(bp.node_belief(ah.node(pid).belief) - oracle.beliefs[pid]).max() <= 1e-9
+
+
+def perturb_second_tick(monkeypatch, pid, change):
+    """Make the second ``process_update`` return ``pid``'s belief passed through ``change``."""
+    real, ticks = kernel.process_update, itertools.count(1)
+
+    def process_update(ah):
+        ah = real(ah)
+        if next(ticks) != 2:
+            return ah
+        node = ah.node(pid)
+        active = {**ah.active, pid: node._replace(belief=change(node.belief))}
+        return kernel.ActiveHierarchy(ah.hierarchy, active, ah.world_state)
+
+    monkeypatch.setattr(kernel, "process_update", process_update)
+
+
+def shift_causal(delta):
+    return lambda belief: (belief[0], belief[1] + delta)
+
+
+@pytest.mark.parametrize("tree", [bp.thecat_tree(), bp.random_tree(np.random.default_rng(5), 4)])
+def test_a_second_tick_that_moves_a_vector_has_no_fixpoint(monkeypatch, tree):
+    perturb_second_tick(monkeypatch, tree.root, shift_causal(1e-9))
+    report = bp.equivalence_check(tree)
+    assert (report.converged, report.passed, report.ticks) == (False, False, 2)
+    assert report.detail == "no fixpoint after 2 ticks"
+
+
+def test_a_second_tick_within_the_fixpoint_tolerance_passes(monkeypatch):
+    perturb_second_tick(monkeypatch, "N2", shift_causal(1e-13))
+    report = bp.equivalence_check(bp.thecat_tree())
+    assert report.converged and report.passed and report.ticks == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        shift_causal(np.nan),
+        lambda belief: ((np.ones(3), *belief[0][1:]), belief[1]),  # slot 0 one entry longer
+        lambda belief: (belief[0][:-1], belief[1]),  # one slot fewer
+    ],
+)
+def test_a_second_tick_with_nan_or_another_shape_has_no_fixpoint(monkeypatch, change):
+    perturb_second_tick(monkeypatch, "N4", change)
+    report = bp.equivalence_check(bp.thecat_tree())
+    assert (report.converged, report.passed, report.ticks) == (False, False, 2)
+    assert report.detail == "no fixpoint after 2 ticks"
+    assert report.max_deviation == np.inf
 
 
 def test_beliefs_are_normalized_across_random_trees():
@@ -413,6 +454,32 @@ def test_tree_violations_catch_bad_matrix():
     }
     tree = bp.CausalTree(processors=procs, root="r")
     assert any("sum to 1" in v for v in bp.tree_violations(tree))
+
+
+@pytest.mark.parametrize(
+    "walk", [bp.CausalTree.topological_ids, bp.bp_propagate, bp.tree_to_document]
+)
+def test_a_cyclic_mapping_is_refused_rather_than_walked_forever(walk):
+    eye = np.eye(2)
+    procs = {
+        "r": bp.Processor(id="r", feature_dim=2, children=("a",)),
+        "a": bp.Processor(id="a", feature_dim=2, parent="r", children=("b",), cond_matrix=eye),
+        "b": bp.Processor(id="b", feature_dim=2, parent="a", children=("a",), cond_matrix=eye),
+    }
+    tree = bp.CausalTree(processors=procs, root="r")
+    assert "cycle: processor 'a' reached twice" in bp.tree_violations(tree)
+
+    def give_up(_signum, _frame):
+        raise TimeoutError("walked the cycle for a second")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ValueError, match="processor 'a' reached twice"):
+            walk(tree)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_beliefs_document_is_json_ready():
