@@ -43,6 +43,7 @@ MAX_RANDOM_DEPTH = 64
 MAX_RANDOM_PROCESSORS = 2000
 # Total conditional-matrix entries (processors x n^2 float64 values) a random tree may hold.
 MAX_RANDOM_MATRIX_ENTRIES = 1 << 24
+WORLD_ID = "N0"  # the world node of every encoded hierarchy
 
 
 class DegenerateBeliefError(KernelError):
@@ -244,7 +245,7 @@ def node_belief(belief_state: tuple) -> np.ndarray:
     return normed
 
 
-def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
+def encode(tree: CausalTree) -> Hierarchy:
     """Build the hierarchy whose process update mirrors tree propagation.
 
     Each processor with m children becomes a node whose belief is a pair of
@@ -252,20 +253,19 @@ def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
     sensed evidence and slot k the k-th child's upward message. Each sensing
     edge emits one ``(slot, vector)`` pair, which the observation update
     writes into that slot; exactly one pair arrives per slot per tick. The
-    world state is a mapping from processor id to its external input vector.
+    world node :data:`WORLD_ID` holds each processor's external input vector.
     """
     if tree_violations(tree):
         raise ValueError("cannot encode an ill-formed tree")
     procs = tree.processors
-    order = tree.topological_ids()
-    spaces = {pid: default_spaces(pid) for pid in order}
-    nodes: list[CognitiveNodeSpec] = [make_world_node_spec(world_id)]
+    spaces = {pid: default_spaces(pid) for pid in procs}
+    nodes: list[CognitiveNodeSpec] = [make_world_node_spec(WORLD_ID)]
     edges: list[EdgeTriple] = []
 
-    for pid in order:
-        p, obs_tag = procs[pid], spaces[pid].observation_space
+    for pid, p in procs.items():
+        obs_tag = spaces[pid].observation_space
         nodes.append(_processor_node(p, len(p.children), spaces[pid]))
-        edges.append(EdgeTriple(world_id, pid, _external_sensing_fn(p, obs_tag)))
+        edges.append(EdgeTriple(WORLD_ID, pid, _external_sensing_fn(p, obs_tag)))
         for k, child_id in enumerate(p.children, start=1):
             child = procs[child_id]
             edges.append(
@@ -276,7 +276,7 @@ def encode(tree: CausalTree, world_id: str = "N0") -> Hierarchy:
                     context_fn=_context_fn(spaces[child_id].context_space, k, child),
                 )
             )
-    return Hierarchy(nodes=tuple(nodes), world_node=world_id, edges=tuple(edges))
+    return Hierarchy(nodes=tuple(nodes), world_node=WORLD_ID, edges=tuple(edges))
 
 
 def _processor_node(p: Processor, m: int, spaces: NodeValueSpaces) -> CognitiveNodeSpec:
@@ -295,7 +295,7 @@ def _processor_node(p: Processor, m: int, spaces: NodeValueSpaces) -> CognitiveN
             raise ValueError(f"expected a single context value, got {len(contexts)}")
         return belief[0], contexts[0]
 
-    # Every slot is written by the first sensing sweep, so its starting value never shows.
+    # Each slot starts as the no-evidence message, which node-level updates on a fresh state read.
     initial = ((np.full(p.feature_dim, 1.0 / p.feature_dim),) * (m + 1), p.causal.copy())
     return CognitiveNodeSpec(
         node_id=p.id,

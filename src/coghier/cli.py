@@ -155,8 +155,15 @@ def cmd_servo(args: argparse.Namespace) -> int:
     return 0 if dominated else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one stderr line, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coghier",
         description="Cognitive-hierarchy engine: validate documents, run the "
         "belief-propagation equivalence suite, run the tracking experiment.",

@@ -78,10 +78,8 @@ def emit_nothing(*_args: Any) -> tuple:
 
 @dataclass(frozen=True)
 class NodeValueSpaces:
-    """Per-node tags for the five value kinds a node exchanges."""
+    """Per-node tags for the three value kinds a node receives over its edges."""
 
-    belief_space: str
-    action_space: str
     task_param_space: str
     observation_space: str
     context_space: str
@@ -90,8 +88,6 @@ class NodeValueSpaces:
 def default_spaces(node_id: str) -> NodeValueSpaces:
     """Distinct per-node tags derived from the node id."""
     return NodeValueSpaces(
-        belief_space=f"belief:{node_id}",
-        action_space=f"action:{node_id}",
         task_param_space=f"task:{node_id}",
         observation_space=f"obs:{node_id}",
         context_space=f"ctx:{node_id}",
@@ -327,21 +323,13 @@ def canonical_topological_order(
 
 
 def sensing_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
-    """lower-before-upper constraints among non-world nodes."""
-    world = hierarchy.world_node
-    deps: dict[str, set[str]] = {nid: set() for nid in hierarchy.node_ids if nid != world}
-    for edge in hierarchy.edges:
-        if edge.lower != world and edge.upper != world:
-            deps[edge.upper].add(edge.lower)
-    return deps
+    """lower-before-upper constraints among non-world nodes, as the compiled sweep holds them."""
+    return {nid: set(pre) for nid, pre in hierarchy._schedule[1].preceded.items()}
 
 
 def prediction_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
-    """upper-before-lower constraints over all nodes, world included."""
-    deps: dict[str, set[str]] = {nid: set() for nid in hierarchy.node_ids}
-    for edge in hierarchy.edges:
-        deps[edge.lower].add(edge.upper)
-    return deps
+    """upper-before-lower constraints over all nodes, world included, as compiled."""
+    return {nid: set(pre) for nid, pre in hierarchy._schedule[2].preceded.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +467,7 @@ class _Phase(NamedTuple):
 
 
 def _compile_schedule(hierarchy: Hierarchy) -> tuple[dict[str, _NodePlan], _Phase, _Phase]:
-    """Every node's plan by id, then the sensing and the prediction sweep in canonical order."""
+    """Every node's plan by id, then the sensing sweep in canonical order and its reverse."""
     world = hierarchy.world_node
     into: dict[str, list[tuple[str, bool, Callable]]] = {nid: [] for nid in hierarchy.node_ids}
     above: dict[str, list[tuple[str, Callable, Callable]]] = {nid: [] for nid in hierarchy.node_ids}
@@ -494,13 +482,14 @@ def _compile_schedule(hierarchy: Hierarchy) -> tuple[dict[str, _NodePlan], _Phas
         )
         for nid, spec in hierarchy._by_id.items()
     }
-    sensing, prediction = (
-        _Phase(name, step, pre, tuple(plans[nid] for nid in canonical_topological_order(pre, pre)))
-        for name, step, pre in (
-            ("sensing", _sense, sensing_dependencies(hierarchy)),
-            ("prediction", _predict, prediction_dependencies(hierarchy)),
-        )
-    )
+    # The prediction graph is the sensing graph's converse, so the canonical sensing order
+    # run backwards, with the world below every node last, is a valid prediction order.
+    lowers = {nid: {lo for lo, _, _ in p.sources} - {world} for nid, p in plans.items()}
+    del lowers[world]  # the world never senses
+    uppers = {nid: {up for up, _, _ in p.uppers} for nid, p in plans.items()}
+    order = tuple(plans[nid] for nid in canonical_topological_order(lowers, lowers))
+    sensing = _Phase("sensing", _sense, lowers, order)
+    prediction = _Phase("prediction", _predict, uppers, (*order[::-1], plans[world]))
     return plans, sensing, prediction
 
 

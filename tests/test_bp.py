@@ -192,6 +192,23 @@ def test_one_tick_reproduces_worked_example():
     np.testing.assert_allclose(bp.node_belief(ah.node("N4").belief), [0.0, 1.0])
 
 
+def test_a_fresh_sensing_update_reads_the_childrens_starting_slots():
+    """Node-level updates on a fresh state read ``encode``'s uniform starting slots.
+
+    Each child sends its matrix times the product of its slots, so the starting
+    slots must be the no-evidence message; a row-stochastic matrix keeps it uniform.
+    """
+    tree = bp.random_tree(np.random.default_rng(4), max_depth=2)
+    root = tree.processors[tree.root]
+    assert len(root.children) == 3  # a leaf and two children with children of their own
+    ah = kernel.init_active(bp.encode(tree), bp.initial_world_state(tree))
+    slots, _ = kernel.sensing_node_update(ah, tree.root).node(tree.root).belief
+    for k, child_id in enumerate(root.children, start=1):
+        child = tree.processors[child_id]
+        message = child.cond_matrix @ np.full(child.feature_dim, 1.0 / child.feature_dim)
+        np.testing.assert_allclose(slots[k], message / message.sum(), rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # Equivalence harness
 
@@ -454,6 +471,31 @@ def test_tree_violations_catch_bad_matrix():
     }
     tree = bp.CausalTree(processors=procs, root="r")
     assert any("sum to 1" in v for v in bp.tree_violations(tree))
+
+
+def two_processor_tree(root=None, child=None):
+    """Root ``r`` over the leaf ``c`` by an identity matrix; ``root``, ``child`` replace fields."""
+    r = bp.Processor(id="r", feature_dim=2, children=("c",))
+    c = bp.Processor(id="c", feature_dim=2, parent="r", cond_matrix=np.eye(2))
+    return bp.CausalTree({"r": replace(r, **root or {}), "c": replace(c, **child or {})}, "r")
+
+
+@pytest.mark.parametrize(
+    "root, child, violation",
+    [
+        (
+            None,
+            {"cond_matrix": np.eye(3)},
+            "'c': conditional matrix shape (3, 3), expected (2, 2)",
+        ),
+        (None, {"cond_matrix": [[1.5, -0.5], [0, 1]]}, "'c': conditional matrix has negative entries"),
+        ({"children": ("c", "ghost")}, None, "'r' lists unknown child 'ghost'"),
+        (None, {"parent": "x"}, "'c': parent link does not match 'r'"),
+        ({"parent": "c"}, None, "root 'r' has a parent link"),
+    ],
+)
+def test_tree_violations_name_each_structural_fault(root, child, violation):
+    assert bp.tree_violations(two_processor_tree(root, child)) == [violation]
 
 
 @pytest.mark.parametrize(

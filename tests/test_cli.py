@@ -98,6 +98,25 @@ def test_bad_numeric_flags_are_input_errors(capsys, argv):
     assert_one_line_input_error(argv, capsys, "bad parameters")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bp", "--seed", "abc", "--random", "1"],
+        ["servo", "--trials", "x"],
+        ["bp"],
+        ["frob"],
+        ["servo", "--mode", "bogus"],
+    ],
+)
+def test_malformed_command_lines_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("coghier")
+
+
 def test_bp_random_matrix_cap_is_input_error(monkeypatch, capsys):
     monkeypatch.setattr(bp, "MAX_RANDOM_MATRIX_ENTRIES", 100)
     assert_one_line_input_error(["bp", "--random", "1", "--max-dim", "8"], capsys, "bad parameters")
@@ -122,6 +141,43 @@ def test_validate_and_bp_both_reject_all_zero_evidence(tmp_path, capsys, pid, fi
     assert main(["validate", path]) == 1
     assert "all zero" in capsys.readouterr().out
     assert_one_line_input_error(["bp", path], capsys, "invalid tree")
+
+
+def unreachable_pair(doc):
+    """Two processors whose parent links point at each other, apart from the root."""
+    rec = {"n": 2, "matrix": [1.0, 0.0, 0.0, 1.0], "external_input": [1.0, 1.0]}
+    doc["processors"] += [{**rec, "id": "A", "parent": "B"}, {**rec, "id": "B", "parent": "A"}]
+
+
+def set_field(pid, field, value):
+    def mutate(doc):
+        next(rec for rec in doc["processors"] if rec["id"] == pid)[field] = value
+
+    return mutate
+
+
+WRONG_SHAPE = "has shape (3,), expected (2,)"
+UNREACHABLE = [f"processor {pid!r} is not reachable from the root" for pid in ("A", "B")]
+
+
+@pytest.mark.parametrize(
+    "mutate, violations",
+    [
+        (set_field("N1", "external_input", [1, 2, 3]), [f"'N1': external_input {WRONG_SHAPE}"]),
+        (set_field("N4", "prior", [-1.0, 2.0]), ["'N4': causal has negative entries"]),
+        (unreachable_pair, UNREACHABLE),
+    ],
+)
+def test_tree_violations_reach_validate_and_bp(tmp_path, capsys, mutate, violations):
+    """``validate`` prints each violation and their count; ``bp`` refuses the tree in one line."""
+    doc = bp.tree_to_document(bp.thecat_tree())
+    mutate(doc)
+    path = write_json(tmp_path / "bad.json", doc)
+    assert main(["validate", path]) == 1
+    summary = f"{path}: {len(violations)} violation(s)"
+    assert capsys.readouterr().out.splitlines() == [*violations, summary]
+    start = f"invalid tree in {path}: {'; '.join(violations)}"
+    assert_one_line_input_error(["bp", path], capsys, start)
 
 
 @pytest.mark.parametrize("command", ["validate", "bp"])
@@ -150,6 +206,15 @@ def test_bp_fixture_passes_and_prints_beliefs(thecat_tree_doc, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "BEL(N2) = [0, 1]" in out
+
+
+def test_bp_contradictory_evidence_fails_and_names_the_degenerate_processors(tmp_path, capsys):
+    doc = bp.tree_to_document(bp.thecat_tree())
+    set_field("N3", "external_input", [1, 0])(doc)
+    assert main(["bp", write_json(tmp_path / "contra.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert "contra.json: degenerate evidence at N1, N2, N3, N4" in out.splitlines()
+    assert err == ""
 
 
 def test_bp_random_suite_passes(capsys):

@@ -1,5 +1,7 @@
 """Kernel tests: validation, sweeps, ordering, locality, atomicity."""
 
+from dataclasses import replace
+
 import oracles
 import pytest
 from conftest import (
@@ -117,6 +119,25 @@ def test_unknown_initial_policy_reported():
     )
     report = kernel.validate(h)
     assert any(v.kind == "initial_policy" for v in report.violations)
+
+
+def test_duplicate_node_and_self_edge_reported():
+    world, node = make_world_node_spec("W"), recorder_node("A")
+    spaces = {"A": node.spaces, "W": world.spaces}
+    edges = (world_edge(spaces, "W", "A"), recorder_edge(spaces, "A", "A"))
+    h = Hierarchy(nodes=(world, node, node), world_node="W", edges=edges)
+    lines = kernel.validate(h).format_lines()
+    assert "duplicate_node: node id 'A' declared twice" in lines
+    assert "self_edge: edge from 'A' to itself" in lines
+
+
+def test_policy_selector_failing_on_the_empty_set_reported():
+    world = make_world_node_spec("W")
+    broken = replace(recorder_node("A"), policy_selector=lambda task_params: 1 / len(task_params))
+    spaces = {"A": broken.spaces, "W": world.spaces}
+    h = Hierarchy(nodes=(world, broken), world_node="W", edges=(world_edge(spaces, "W", "A"),))
+    expected = "policy_default: node 'A': policy selector failed on the empty set: division by zero"
+    assert kernel.validate(h).format_lines() == [expected]
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +479,18 @@ def test_tag_mismatch_rejected_before_operator_runs():
     assert seen == []
 
 
+@pytest.mark.parametrize("fn, tag", [("task_param_fn", "task:A"), ("context_fn", "ctx:A")])
+def test_prediction_tag_mismatch_names_the_lower_node_and_its_edge(fn, tag):
+    h = build_recorder_hierarchy(["A", "B"], [("A", "B")])
+    *world_edges, inner = h.edges
+    wrong = replace(inner, **{fn: lambda _value: (Tagged("wrong", None),)})
+    ah = kernel.init_active(replace(h, edges=(*world_edges, wrong)), "env")
+    expected = f"edge emitted tag 'wrong', node expects '{tag}'"
+    with pytest.raises(TagMismatchError, match=expected) as err:
+        kernel.process_update(ah)
+    assert (err.value.node, err.value.edge) == ("A", ("A", "B"))
+
+
 def test_untagged_payload_rejected():
     node = recorder_node("A")
     world = make_world_node_spec("W")
@@ -553,7 +586,8 @@ def test_failure_at_the_last_step_leaves_the_snapshot_untouched():
 
 def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):
     calls = {}
-    for name in ("canonical_topological_order", "sensing_dependencies", "prediction_dependencies"):
+    ordering = ("canonical_topological_order", "_kahn")
+    for name in (*ordering, "sensing_dependencies", "prediction_dependencies"):
 
         def counting(*args, _name=name, _inner=getattr(kernel, name)):
             calls[_name] = calls.get(_name, 0) + 1
@@ -562,11 +596,8 @@ def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):
         monkeypatch.setattr(kernel, name, counting)
 
     ah = kernel.init_active(diamond(), "env")
-    assert calls == {
-        "canonical_topological_order": 2,
-        "sensing_dependencies": 1,
-        "prediction_dependencies": 1,
-    }
+    # validate's cycle search and the one sensing order; the prediction sweep is its reverse
+    assert calls == {"canonical_topological_order": 1, "_kahn": 2}
     calls.clear()
     for _ in range(10):
         ah = kernel.process_update(ah)

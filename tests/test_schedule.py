@@ -5,8 +5,12 @@ edges from a lower index to a higher one, every non-world node having at
 least one incoming edge. Node ids are shuffled against the index order, so
 the id-sorted levels of the canonical order differ from the wiring order.
 The reference functions below are the quadratic ordering and cycle search
-the kernel used before it compiled its schedule once per hierarchy.
+the kernel used before it compiled its schedule once per hierarchy, and the
+edge walks that built both dependency relations before they were read from
+the compiled node plans.
 """
+
+from dataclasses import replace
 
 import oracles
 from conftest import recorder_edge, recorder_node, world_edge
@@ -51,6 +55,24 @@ def reference_cycle_members(ids, preceded):
     return set(remaining)
 
 
+def reference_sensing_dependencies(hierarchy):
+    """lower-before-upper constraints among non-world nodes, one edge at a time."""
+    world = hierarchy.world_node
+    deps = {nid: set() for nid in hierarchy.node_ids if nid != world}
+    for edge in hierarchy.edges:
+        if edge.lower != world and edge.upper != world:
+            deps[edge.upper].add(edge.lower)
+    return deps
+
+
+def reference_prediction_dependencies(hierarchy):
+    """upper-before-lower constraints over all nodes, one edge at a time."""
+    deps = {nid: set() for nid in hierarchy.node_ids}
+    for edge in hierarchy.edges:
+        deps[edge.lower].add(edge.upper)
+    return deps
+
+
 @st.composite
 def dag_wirings(draw, max_fan_in=3):
     """(ids by index with the world first, lower-to-upper index pairs)."""
@@ -77,6 +99,27 @@ def build(ids, pairs, extra=()):
     return Hierarchy(nodes=(world, *specs), world_node=WORLD, edges=tuple(edges))
 
 
+def noting_visits(hierarchy, visits):
+    """``hierarchy`` with each operator, the world's actuator too, noting its id in ``visits``."""
+
+    def noted(nid, update):
+        def run(*args):
+            visits.append(nid)
+            return update(*args)
+
+        return run
+
+    nodes = tuple(
+        replace(
+            spec,
+            observation_update=noted(spec.node_id, spec.observation_update),
+            prediction_update=noted(spec.node_id, spec.prediction_update),
+        )
+        for spec in hierarchy.nodes
+    )
+    return replace(hierarchy, nodes=nodes)
+
+
 def random_linear_extension(preceded, rng):
     """A valid order drawn by picking any ready node at each step."""
     done, order = set(), []
@@ -98,6 +141,27 @@ def test_canonical_order_matches_the_level_sorted_reference(wiring):
         assert kernel.canonical_topological_order(preceded, preceded) == (
             reference_topological_order(preceded, preceded)
         )
+
+
+@given(dag_wirings())
+def test_dependencies_read_from_the_plans_match_the_edge_walks(wiring):
+    hierarchy = build(*wiring)
+    sensing = kernel.sensing_dependencies(hierarchy)
+    assert list(sensing.items()) == list(reference_sensing_dependencies(hierarchy).items())
+    assert kernel.prediction_dependencies(hierarchy) == reference_prediction_dependencies(hierarchy)
+    for pre in sensing.values():
+        pre.add("intruder")  # a copy: the compiled constraints stay as they were
+    assert kernel.sensing_dependencies(hierarchy) == reference_sensing_dependencies(hierarchy)
+
+
+@given(dag_wirings())
+def test_prediction_sweep_is_the_sensing_sweep_reversed_then_the_world(wiring):
+    visits = []
+    hierarchy = noting_visits(build(*wiring), visits)
+    kernel.process_update(kernel.init_active(hierarchy, "env"))
+    sensed = visits[: len(wiring[0]) - 1]
+    assert sorted(sensed) == sorted(wiring[0][1:])
+    assert visits == [*sensed, *reversed(sensed), WORLD]
 
 
 @given(
