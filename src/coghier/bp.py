@@ -113,6 +113,8 @@ def tree_violations(tree: CausalTree) -> list[str]:
     procs = tree.processors
     if tree.root not in procs:
         return [f"root {tree.root!r} is not a processor"]
+    if WORLD_ID in procs:
+        bad.append(f"processor id {WORLD_ID!r} is reserved for the world node")
     seen: set[str] = set()
     stack = [tree.root]
     while stack:

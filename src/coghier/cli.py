@@ -10,6 +10,7 @@ errors. All randomness is seeded through explicit flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -121,12 +122,12 @@ def cmd_servo(args: argparse.Namespace) -> int:
             seed=args.seed,
             trials=args.trials,
         )
+        modes = servo.MODES if args.mode == "both" else (args.mode,)
+        summary = servo.run_experiment(params, modes=modes)
     except ValueError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
 
-    modes = servo.MODES if args.mode == "both" else (args.mode,)
-    summary = servo.run_experiment(params, modes=modes)
     for path, write in ((args.csv, servo.write_csv), (args.json_path, servo.write_json)):
         if not path:
             continue
@@ -155,14 +156,20 @@ def cmd_servo(args: argparse.Namespace) -> int:
     return 0 if dominated else 1
 
 
+class _UsageError(Exception):
+    """A malformed command line, as the one stderr line that reports it."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line in one stderr line, without the usage block."""
 
     def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        raise _UsageError(f"{self.prog}: error: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call."""
     parser = _Parser(
         prog="coghier",
         description="Cognitive-hierarchy engine: validate documents, run the "
@@ -209,9 +216,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     logging.basicConfig(level=level.upper())
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bp" and not args.path and args.random <= 0:
-        parser.error("bp needs a document path or --random N")
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "bp" and not args.path and args.random <= 0:
+            parser.error("bp needs a document path or --random N")
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -20,6 +20,9 @@ of the object. Without the lag the expected context error would be
 The kernel never inspects payloads, so the trials of one mode travel
 through one hierarchy as float64 vectors with one entry per trial: an
 experiment takes ``steps`` ticks per mode however many trials it runs.
+The modes run in lockstep on one draw of readings: each trial's generator
+is seeded once per experiment, and each tick every mode's hierarchy reads
+the same read-only reading vector.
 """
 
 from __future__ import annotations
@@ -101,8 +104,10 @@ class ServoWorld(NamedTuple):
 
     The object position is the closed form 0.5*k*t**2, the same in every
     trial. The camera position and the noisy reading hold one float64 per
-    trial. ``_run_trials`` draws the readings before each tick, so the
-    hierarchy update itself is free of random state.
+    trial. ``_run_trials`` draws the readings before each tick, once for
+    every mode, so the hierarchy update itself is free of random state. The
+    readings and the initial camera position are read-only, because every
+    mode shares them.
     """
 
     elapsed: float
@@ -222,35 +227,43 @@ class ServoEpisode:
 
 def _run_trials(
     params: ServoParams,
+    modes: Sequence[str],
     seeds: Sequence[int],
     on_tick: Callable[[kernel.ActiveHierarchy, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """Run one trial per seed in ``params.mode`` as one batch; each trial's mean |error|.
+) -> list[np.ndarray]:
+    """Run one batch of trials per mode, the modes in lockstep; each mode's per-trial mean |error|.
 
-    Trial i draws its readings from its own generator, seeded ``seeds[i]``,
-    in the order one draw per step would take them. Each trial's error sum
-    accumulates step by step. ``on_tick(state, errors)`` sees every tick.
+    Trial i draws its readings from its own generator, seeded ``seeds[i]``
+    once per call, in the order one draw per step would take them. Each
+    tick every mode's hierarchy reads the same read-only reading vector.
+    Each trial's error sum accumulates step by step. ``on_tick(state,
+    errors)`` sees every tick of every mode.
     """
-    hierarchy = build_servo_hierarchy(params)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     at_rest = np.zeros(len(rngs))
-    ah = kernel.init_active(hierarchy, ServoWorld(0.0, 0.0, at_rest, at_rest))
-    total = 0.0
+    at_rest.setflags(write=False)
+    start = ServoWorld(0.0, 0.0, at_rest, at_rest)
+    hierarchies = [build_servo_hierarchy(replace(params, mode=mode)) for mode in modes]
+    states = [kernel.init_active(hierarchy, start) for hierarchy in hierarchies]
+    totals = [0.0] * len(states)
+    t = 0.0
     for first in range(0, params.steps, NOISE_BLOCK):
         size = min(NOISE_BLOCK, params.steps - first)
         block = np.stack([rng.normal(0.0, params.noise_sigma, size) for rng in rngs], axis=1)
         for noise in block:
-            t = ah.world_state.elapsed + params.dt
+            t = t + params.dt
             true_position = 0.5 * params.accel * t * t
-            world = ah.world_state._replace(
-                elapsed=t, true_position=true_position, sensor_reading=true_position + noise
-            )
-            ah = kernel.process_update(kernel.ActiveHierarchy(hierarchy, ah.active, world))
-            errors = abs(ah.world_state.camera_position - true_position)
-            total = total + errors
-            if on_tick is not None:
-                on_tick(ah, errors)
-    return total / params.steps
+            reading = true_position + noise
+            reading.setflags(write=False)
+            for i, ah in enumerate(states):
+                world = ServoWorld(t, true_position, ah.world_state.camera_position, reading)
+                ah = kernel.process_update(kernel.ActiveHierarchy(ah.hierarchy, ah.active, world))
+                states[i] = ah
+                errors = abs(ah.world_state.camera_position - true_position)
+                totals[i] = totals[i] + errors
+                if on_tick is not None:
+                    on_tick(ah, errors)
+    return [total / params.steps for total in totals]
 
 
 def run_episode(params: ServoParams) -> ServoEpisode:
@@ -271,7 +284,7 @@ def run_episode(params: ServoParams) -> ServoEpisode:
             )
         )
 
-    mean_error = _run_trials(params, (params.seed,), record)
+    (mean_error,) = _run_trials(params, (params.mode,), (params.seed,), record)
     return ServoEpisode(tuple(records), float(mean_error[0]))
 
 
@@ -341,9 +354,12 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Run seeded trials per mode and summarise episode mean errors.
 
-    Trial i uses seed ``params.seed + i`` in every mode, so per-trial
-    comparisons across modes share their noise realisations. The trials of
-    a mode run as one batch, each equal to ``run_episode`` with its seed.
+    Trial i uses seed ``params.seed + i``. Its generator is seeded once per
+    experiment and the modes run in lockstep on that one draw of readings,
+    so per-trial comparisons across modes share their noise realisations.
+    The trials of a mode run as one batch, each equal to ``run_episode``
+    with its seed. Raises ``ValueError`` when a mode's errors or their
+    summary overflow float64.
     """
     modes = tuple(modes)
     for mode in modes:
@@ -352,11 +368,19 @@ def run_experiment(
     rows: list[TrialResult] = []
     per_mode: dict[str, ModeStats] = {}
     seeds = range(params.seed, params.seed + params.trials)
-    for mode in modes:
-        errors = _run_trials(replace(params, mode=mode), seeds).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports any overflow
+        results = _run_trials(params, modes, seeds)
+    for mode, mode_errors in zip(modes, results):
+        overflow = ValueError(f"the {mode} run overflows float64; lower accel, noise or duration")
+        if not np.isfinite(mode_errors).all():
+            raise overflow
+        errors = mode_errors.tolist()
         rows.extend(TrialResult(trial, mode, error) for trial, error in enumerate(errors))
-        std = statistics.stdev(errors) if len(errors) > 1 else 0.0
-        per_mode[mode] = ModeStats(mean=statistics.fmean(errors), std=std, n=len(errors))
+        try:
+            std = statistics.stdev(errors) if len(errors) > 1 else 0.0
+            per_mode[mode] = ModeStats(mean=statistics.fmean(errors), std=std, n=len(errors))
+        except OverflowError as exc:
+            raise overflow from exc
     reduction = None
     if "context" in per_mode and "no_context" in per_mode and per_mode["no_context"].mean > 0:
         reduction = 100.0 * (1.0 - per_mode["context"].mean / per_mode["no_context"].mean)

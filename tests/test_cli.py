@@ -7,7 +7,7 @@ import re
 import pytest
 
 from coghier import bp, documents, servo
-from coghier.cli import main
+from coghier.cli import build_parser, main
 
 
 def write_json(path, doc):
@@ -109,9 +109,7 @@ def test_bad_numeric_flags_are_input_errors(capsys, argv):
     ],
 )
 def test_malformed_command_lines_exit_2_with_one_line(capsys, argv):
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("coghier")
@@ -156,6 +154,13 @@ def set_field(pid, field, value):
     return mutate
 
 
+def root_named_as_world(doc):
+    """The root takes the id of the world node that ``bp.encode`` adds."""
+    for rec in doc["processors"]:
+        rec["id"] = bp.WORLD_ID if rec["id"] == "N4" else rec["id"]
+        rec["parent"] = bp.WORLD_ID if rec["parent"] == "N4" else rec["parent"]
+
+
 WRONG_SHAPE = "has shape (3,), expected (2,)"
 UNREACHABLE = [f"processor {pid!r} is not reachable from the root" for pid in ("A", "B")]
 
@@ -166,6 +171,7 @@ UNREACHABLE = [f"processor {pid!r} is not reachable from the root" for pid in ("
         (set_field("N1", "external_input", [1, 2, 3]), [f"'N1': external_input {WRONG_SHAPE}"]),
         (set_field("N4", "prior", [-1.0, 2.0]), ["'N4': causal has negative entries"]),
         (unreachable_pair, UNREACHABLE),
+        (root_named_as_world, [f"processor id {bp.WORLD_ID!r} is reserved for the world node"]),
     ],
 )
 def test_tree_violations_reach_validate_and_bp(tmp_path, capsys, mutate, violations):
@@ -252,10 +258,30 @@ def test_bp_zero_tolerance_fails_on_rounding(capsys):
     assert main(["bp", "--random", "3", "--seed", "1", "--tolerance", "0"]) == 1
 
 
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["servo", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coghier servo")
+
+
+def test_repeated_calls_share_one_parser_and_leak_nothing(thecat_tree_doc, capsys):
+    """Flags given to one call leave the defaults of the next call alone."""
+    plain = ["servo", "--trials", "2"]
+    assert main(plain) == 0
+    first = capsys.readouterr()
+    assert main(["servo", "--trials", "3", "--seed", "5", "--mode", "context", "--gain", "0.5"]) == 0
+    assert main(["servo", "--trials", "x"]) == 2
+    assert main(["bp", thecat_tree_doc, "--tolerance", "0.1"]) == 0
+    assert main(["bp", "--random", "1", "--max-dim", "3"]) == 0
+    capsys.readouterr()
+    assert main(plain) == 0
+    assert capsys.readouterr() == first
+    assert build_parser() is build_parser()
+
+
 def test_bp_requires_input():
-    with pytest.raises(SystemExit) as err:
-        main(["bp"])
-    assert err.value.code == 2
+    assert main(["bp"]) == 2
 
 
 def test_bp_negative_tolerance_is_input_error(thecat_tree_doc):
@@ -369,3 +395,16 @@ def test_unknown_log_level_is_input_error(monkeypatch, capsys, command, level):
 )
 def test_servo_non_finite_params_are_input_errors(capsys, flags):
     assert_one_line_input_error(["servo", "--trials", "1", *flags], capsys, "bad parameters")
+
+
+@pytest.mark.parametrize("trials", ["1", "2"])
+@pytest.mark.parametrize("flag", ["--accel", "--noise-sigma"])
+def test_servo_runs_that_overflow_are_input_errors(capsys, trials, flag):
+    argv = ["servo", "--trials", trials, flag, "1e308"]
+    assert_one_line_input_error(argv, capsys, "bad parameters: the no_context run overflows")
+
+
+def test_servo_summary_that_overflows_is_input_error(capsys):
+    """Each trial's error is finite here, but the sum over 100 trials is not."""
+    argv = ["servo", "--trials", "100", "--accel", "1e307"]
+    assert_one_line_input_error(argv, capsys, "bad parameters: the no_context run overflows")

@@ -225,6 +225,63 @@ def test_batched_experiment_equals_per_episode_runs(seed, sigma, gain, trials, s
         assert episode.mean_error == noisy_mean_error(single)
 
 
+@pytest.mark.parametrize("seed, trials", [(0, 1), (42, 7), (1001, 3)])
+def test_each_mode_of_an_experiment_equals_its_one_mode_experiment(seed, trials):
+    params = ServoParams(duration=70 * 0.05, seed=seed, trials=trials)  # two noise blocks
+    both = servo.run_experiment(params)
+    for mode in servo.MODES:
+        alone = servo.run_experiment(params, modes=(mode,))
+        assert [row for row in both.rows if row.mode == mode] == list(alone.rows)
+        assert both.per_mode[mode] == alone.per_mode[mode]
+
+
+def test_an_experiment_seeds_each_trial_generator_once(monkeypatch):
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def counting(seed):
+        seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    servo.run_experiment(ServoParams(trials=100))
+    assert sorted(seeded) == list(range(42, 142))
+
+
+def test_the_modes_read_one_read_only_reading_per_tick():
+    params = ServoParams(duration=70 * 0.05, trials=3)
+    readings = []
+    servo._run_trials(
+        params, servo.MODES, range(3), lambda ah, errors: readings.append(ah.world_state.sensor_reading)
+    )
+    assert len(readings) == len(servo.MODES) * params.steps
+    assert not any(reading.flags.writeable for reading in readings)
+    assert all(a is b for a, b in zip(readings[::2], readings[1::2]))
+
+
+def test_an_operator_writing_into_its_reading_fails_inside_that_operator(monkeypatch):
+    build = servo.build_servo_hierarchy
+
+    def writing_filter(params):
+        hierarchy = build(params)
+        spec = hierarchy.node(servo.FILTER_NODE)
+
+        def observe(observations, belief):
+            reading = observations[0]
+            reading += 1.0
+            return spec.observation_update(observations, belief)
+
+        nodes = tuple(
+            replace(n, observation_update=observe) if n is spec else n for n in hierarchy.nodes
+        )
+        return replace(hierarchy, nodes=nodes)
+
+    monkeypatch.setattr(servo, "build_servo_hierarchy", writing_filter)
+    with pytest.raises(kernel.OperatorError, match="read-only") as failure:
+        servo.run_experiment(ServoParams(trials=2))
+    assert failure.value.node == servo.FILTER_NODE
+
+
 # ---------------------------------------------------------------------------
 # Statistical properties
 
