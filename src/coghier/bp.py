@@ -132,7 +132,9 @@ def tree_violations(tree: CausalTree) -> list[str]:
                 bad.append(f"{pid!r}: {vec_name} has shape {vec.shape}, expected ({p.feature_dim},)")
             elif (vec < 0).any():
                 bad.append(f"{pid!r}: {vec_name} has negative entries")
-            elif needs_support and not vec.any():
+            elif not math.isfinite(total := sum(vec.tolist())):  # inf on overflow, yet no warning
+                bad.append(f"{pid!r}: {vec_name} sums to {total}, which is not finite")
+            elif needs_support and not total:
                 bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
         for child in p.children:
             if child not in procs:

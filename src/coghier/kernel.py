@@ -4,7 +4,9 @@ A hierarchy is a DAG of nodes over a distinguished world node. Observations
 flow up the sensing graph (world node is the unique source) and task
 parameters plus context flow back down the converse prediction graph (world
 node is the unique sink). One tick of the process model is a full sensing
-sweep followed by a full prediction sweep.
+sweep followed by a full prediction sweep. Each node's two steps are compiled
+once per hierarchy, at activation; the sweeps, the node-level updates and
+sweeps in a caller-supplied order all run them.
 
 Everything here is functional: update operations take an ``ActiveHierarchy``
 and return a new one, so a failed tick leaves the caller's state untouched
@@ -187,8 +189,8 @@ class Hierarchy:
         return self._by_id[node_id]
 
     @cached_property
-    def _schedule(self) -> "tuple[dict[str, _NodePlan], _Phase, _Phase]":
-        """Node plans by id and both sweeps, compiled on first use; the hierarchy is frozen."""
+    def _schedule(self) -> "tuple[_Phase, _Phase]":
+        """Both sweeps and each node's steps, compiled on first use; the hierarchy is frozen."""
         return _compile_schedule(self)
 
 
@@ -215,7 +217,14 @@ class ValidationReport:
 
 
 def validate(hierarchy: Hierarchy) -> ValidationReport:
-    """Check well-formedness; violations are data, not exceptions."""
+    """Check well-formedness; violations are data, not exceptions.
+
+    A node the world cannot reach needs no search of its own. Walking back
+    from it along usable incoming edges (edges not flagged themselves) either
+    revisits a node, a ``cycle``, or stops at a node with no usable incoming
+    edge: the world, or else a ``unique_source`` violation. Without the world
+    (``world_missing``) no graph check runs.
+    """
     found: list[Violation] = []
 
     def flag(kind: str, detail: str) -> None:
@@ -250,10 +259,8 @@ def validate(hierarchy: Hierarchy) -> ValidationReport:
 
     if world in seen:
         preceded: dict[str, set[str]] = {nid: set() for nid in seen}
-        children: dict[str, list[str]] = {nid: [] for nid in seen}
         for edge in usable_edges:
             preceded[edge.upper].add(edge.lower)
-            children[edge.lower].append(edge.upper)
         _, cyclic = _kahn(seen, preceded)
         if cyclic:
             flag("cycle", "sensing graph has a cycle through " + ", ".join(sorted(cyclic)))
@@ -264,14 +271,6 @@ def validate(hierarchy: Hierarchy) -> ValidationReport:
         for nid in sorted(seen - {world}):
             if not preceded[nid]:
                 flag("unique_source", f"node {nid!r} {orphan}")
-        reachable, frontier = {world}, [world]
-        while frontier:
-            for nxt in children[frontier.pop()]:
-                if nxt not in reachable:
-                    reachable.add(nxt)
-                    frontier.append(nxt)
-        for nid in sorted(seen - reachable):
-            flag("unreachable", f"node {nid!r} is not reachable from the world node")
 
     for spec in hierarchy.nodes:
         nid, initial = spec.node_id, spec.initial_policy
@@ -324,12 +323,12 @@ def canonical_topological_order(
 
 def sensing_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
     """lower-before-upper constraints among non-world nodes, as the compiled sweep holds them."""
-    return {nid: set(pre) for nid, pre in hierarchy._schedule[1].preceded.items()}
+    return {nid: set(pre) for nid, pre in hierarchy._schedule[0].preceded.items()}
 
 
 def prediction_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
     """upper-before-lower constraints over all nodes, world included, as compiled."""
-    return {nid: set(pre) for nid, pre in hierarchy._schedule[2].preceded.items()}
+    return {nid: set(pre) for nid, pre in hierarchy._schedule[1].preceded.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -383,122 +382,121 @@ def _tag_error(item: Any, tag: str, node: str, edge: tuple[str, str]) -> TagMism
     return TagMismatchError(problem, node=node, edge=edge)
 
 
-class _NodePlan(NamedTuple):
-    """What one node's updates read from the static model, looked up once."""
+def _sensing_step(
+    spec: CognitiveNodeSpec,
+    sources: tuple[tuple[str, bool, Callable], ...],  # (lower id, "lower is world", sensing_fn)
+) -> Callable[[dict[str, ActiveNode], Any], Any]:
+    """One node's sensing step, writing into ``active``, with its static reads bound once."""
+    new = tuple.__new__  # builds an ActiveNode without its Python-level __new__
+    node_id, tag = spec.node_id, spec.spaces.observation_space
+    observation_update = spec.observation_update
 
-    spec: CognitiveNodeSpec
-    is_world: bool
-    observation_tag: str
-    task_param_tag: str
-    context_tag: str
-    sources: tuple[tuple[str, bool, Callable], ...]  # (lower id, "lower is world", sensing_fn)
-    uppers: tuple[tuple[str, Callable, Callable], ...]  # (upper id, task_param_fn, context_fn)
+    def sense(active: dict[str, ActiveNode], world_state: Any) -> Any:
+        observations: list[Any] = []
+        lower = None  # the edge in progress runs from here; None while the node's own operators run
+        try:
+            for lower, from_world, sensing_fn in sources:
+                for item in sensing_fn(world_state if from_world else active[lower].belief):
+                    if not isinstance(item, Tagged) or item.tag != tag:
+                        raise _tag_error(item, tag, node_id, (lower, node_id))
+                    observations.append(item.value)
+            lower = None
+            current = active[node_id]
+            belief = observation_update(tuple(observations), current.belief)
+        except KernelError:
+            raise
+        except Exception as exc:
+            pair = None if lower is None else (lower, node_id)
+            raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
+        active[node_id] = new(ActiveNode, (node_id, belief, current.policy, current.actions))
+        return world_state
 
-
-def _sense(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -> Any:
-    """One node's sensing step, written into ``active``; returns the world state."""
-    node_id, tag = plan.spec.node_id, plan.observation_tag
-    observations: list[Any] = []
-    lower = None  # the edge in progress runs from here; None while the node's own operators run
-    try:
-        for lower, from_world, sensing_fn in plan.sources:
-            for item in sensing_fn(world_state if from_world else active[lower].belief):
-                if not isinstance(item, Tagged) or item.tag != tag:
-                    raise _tag_error(item, tag, node_id, (lower, node_id))
-                observations.append(item.value)
-        lower = None
-        current = active[node_id]
-        belief = plan.spec.observation_update(tuple(observations), current.belief)
-    except KernelError:
-        raise
-    except Exception as exc:
-        pair = None if lower is None else (lower, node_id)
-        raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
-    active[node_id] = ActiveNode(node_id, belief, current.policy, current.actions)
-    return world_state
+    return sense
 
 
-def _predict(plan: _NodePlan, active: dict[str, ActiveNode], world_state: Any) -> Any:
-    """One node's prediction step, written into ``active``; returns the world state."""
-    spec, is_world, _, task_tag, context_tag, _, uppers = plan
-    node_id = spec.node_id
-    task_params: list[Any] = []
-    contexts: list[Any] = []
-    upper = None  # the edge in progress runs to here
-    try:
-        for upper, task_param_fn, context_fn in uppers:
-            upper_active = active[upper]
-            for item in task_param_fn(upper_active.actions):
-                if not isinstance(item, Tagged) or item.tag != task_tag:
-                    raise _tag_error(item, task_tag, node_id, (node_id, upper))
-                task_params.append(item.value)
-            for item in context_fn(upper_active.belief):
-                if not isinstance(item, Tagged) or item.tag != context_tag:
-                    raise _tag_error(item, context_tag, node_id, (node_id, upper))
-                contexts.append(item.value)
-        upper = None
-        if is_world:
-            return spec.prediction_update(tuple(contexts), tuple(task_params), world_state)
-        current = active[node_id]
-        if not uppers:
-            policy_id = current.policy
-        else:
-            policy_id = spec.policy_selector(tuple(task_params))
-            if policy_id not in spec.policies:
-                raise OperatorError(f"selector chose unknown policy {policy_id!r}", node=node_id)
-        actions = tuple(spec.policies[policy_id](current.belief))
-        belief = spec.prediction_update(tuple(contexts), actions, current.belief)
-    except KernelError:
-        raise
-    except Exception as exc:
-        pair = None if upper is None else (node_id, upper)
-        raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
-    active[node_id] = ActiveNode(node_id, belief, policy_id, actions)
-    return world_state
+def _prediction_step(
+    spec: CognitiveNodeSpec,
+    uppers: tuple[tuple[str, Callable, Callable], ...],  # (upper id, task_param_fn, context_fn)
+    is_world: bool,
+) -> Callable[[dict[str, ActiveNode], Any], Any]:
+    """One node's prediction step, writing into ``active``, with its static reads bound once."""
+    new = tuple.__new__  # builds an ActiveNode without its Python-level __new__
+    node_id, spaces = spec.node_id, spec.spaces
+    task_tag, context_tag = spaces.task_param_space, spaces.context_space
+    policies, policy_selector = spec.policies, spec.policy_selector
+    prediction_update = spec.prediction_update
+
+    def predict(active: dict[str, ActiveNode], world_state: Any) -> Any:
+        task_params: list[Any] = []
+        contexts: list[Any] = []
+        upper = None  # the edge in progress runs to here
+        try:
+            for upper, task_param_fn, context_fn in uppers:
+                upper_active = active[upper]
+                for item in task_param_fn(upper_active.actions):
+                    if not isinstance(item, Tagged) or item.tag != task_tag:
+                        raise _tag_error(item, task_tag, node_id, (node_id, upper))
+                    task_params.append(item.value)
+                for item in context_fn(upper_active.belief):
+                    if not isinstance(item, Tagged) or item.tag != context_tag:
+                        raise _tag_error(item, context_tag, node_id, (node_id, upper))
+                    contexts.append(item.value)
+            upper = None
+            if is_world:
+                return prediction_update(tuple(contexts), tuple(task_params), world_state)
+            current = active[node_id]
+            if not uppers:
+                policy_id = current.policy
+            else:
+                policy_id = policy_selector(tuple(task_params))
+                if policy_id not in policies:
+                    raise OperatorError(f"selector chose unknown policy {policy_id!r}", node=node_id)
+            actions = tuple(policies[policy_id](current.belief))
+            belief = prediction_update(tuple(contexts), actions, current.belief)
+        except KernelError:
+            raise
+        except Exception as exc:
+            pair = None if upper is None else (node_id, upper)
+            raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
+        active[node_id] = new(ActiveNode, (node_id, belief, policy_id, actions))
+        return world_state
+
+    return predict
 
 
 class _Phase(NamedTuple):
-    """One sweep: its per-node step, its constraints and its node plans in order."""
+    """One sweep: its constraints and each node's compiled step, in sweep order."""
 
     name: str
-    step: Callable[[_NodePlan, dict[str, ActiveNode], Any], Any]
     preceded: dict[str, set[str]]
-    plans: tuple[_NodePlan, ...]
+    steps: dict[str, Callable]
 
 
-def _compile_schedule(hierarchy: Hierarchy) -> tuple[dict[str, _NodePlan], _Phase, _Phase]:
-    """Every node's plan by id, then the sensing sweep in canonical order and its reverse."""
+def _compile_schedule(hierarchy: Hierarchy) -> tuple[_Phase, _Phase]:
+    """The sensing sweep in canonical order, then the prediction sweep: its reverse, world last."""
     world = hierarchy.world_node
     into: dict[str, list[tuple[str, bool, Callable]]] = {nid: [] for nid in hierarchy.node_ids}
     above: dict[str, list[tuple[str, Callable, Callable]]] = {nid: [] for nid in hierarchy.node_ids}
     for edge in sorted(hierarchy.edges, key=lambda e: (e.lower, e.upper)):
         into[edge.upper].append((edge.lower, edge.lower == world, edge.sensing_fn))
         above[edge.lower].append((edge.upper, edge.task_param_fn, edge.context_fn))
-    plans = {
-        nid: _NodePlan(
-            spec, nid == world,
-            spec.spaces.observation_space, spec.spaces.task_param_space, spec.spaces.context_space,
-            tuple(into[nid]), tuple(above[nid]),
-        )
-        for nid, spec in hierarchy._by_id.items()
-    }
     # The prediction graph is the sensing graph's converse, so the canonical sensing order
     # run backwards, with the world below every node last, is a valid prediction order.
-    lowers = {nid: {lo for lo, _, _ in p.sources} - {world} for nid, p in plans.items()}
-    del lowers[world]  # the world never senses
-    uppers = {nid: {up for up, _, _ in p.uppers} for nid, p in plans.items()}
-    order = tuple(plans[nid] for nid in canonical_topological_order(lowers, lowers))
-    sensing = _Phase("sensing", _sense, lowers, order)
-    prediction = _Phase("prediction", _predict, uppers, (*order[::-1], plans[world]))
-    return plans, sensing, prediction
+    lowers = {nid: {lo for lo, _, _ in into[nid]} - {world} for nid in into if nid != world}
+    uppers = {nid: {up for up, _, _ in above[nid]} for nid in above}
+    order = canonical_topological_order(lowers, lowers)
+    sensing = {nid: _sensing_step(hierarchy.node(nid), tuple(into[nid])) for nid in order}
+    prediction = {
+        nid: _prediction_step(hierarchy.node(nid), tuple(above[nid]), nid == world)
+        for nid in (*order[::-1], world)
+    }
+    return _Phase("sensing", lowers, sensing), _Phase("prediction", uppers, prediction)
 
 
-def _check_order(
-    plans: Mapping[str, _NodePlan], phase: _Phase, order: Iterable[str] | None
-) -> _Phase:
-    """``phase`` in a caller-supplied order, checked against its constraints."""
+def _check_order(phase: _Phase, order: Iterable[str] | None) -> Iterable[Callable]:
+    """``phase``'s steps, in a caller-supplied order checked against its constraints."""
     if order is None:
-        return phase
+        return phase.steps.values()
     order, preceded, what = tuple(order), phase.preceded, phase.name
     if set(order) != set(preceded) or len(order) != len(preceded):
         raise ValueError(f"{what} order must cover each node exactly once")
@@ -507,15 +505,15 @@ def _check_order(
         for p in pre:
             if position[p] > position[nid]:
                 raise ValueError(f"{what} order violates {p!r} before {nid!r}")
-    return phase._replace(plans=tuple(plans[nid] for nid in order))
+    return [phase.steps[nid] for nid in order]
 
 
-def _sweep(ah: ActiveHierarchy, *phases: _Phase) -> ActiveHierarchy:
-    """Run ``phases`` on one copy of the active state; the caller's stays as it was."""
+def _sweep(ah: ActiveHierarchy, *sweeps: Iterable[Callable]) -> ActiveHierarchy:
+    """Run ``sweeps`` on one copy of the active state; the caller's stays as it was."""
     active, world_state = dict(ah.active), ah.world_state
-    for phase in phases:
-        for plan in phase.plans:
-            world_state = phase.step(plan, active, world_state)
+    for steps in sweeps:
+        for step in steps:
+            world_state = step(active, world_state)
     return ActiveHierarchy(ah.hierarchy, active, world_state)
 
 
@@ -527,7 +525,7 @@ def sensing_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
     """
     if node_id == ah.hierarchy.world_node:
         raise ValueError("the world node does not perform sensing updates")
-    return _sweep(ah, _Phase("sensing", _sense, {}, (ah.hierarchy._schedule[0][node_id],)))
+    return _sweep(ah, (ah.hierarchy._schedule[0].steps[node_id],))
 
 
 def prediction_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
@@ -540,23 +538,21 @@ def prediction_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy
     actions in the prediction update. For the world node the gathered task
     parameters are folded into the world state instead.
     """
-    return _sweep(ah, _Phase("prediction", _predict, {}, (ah.hierarchy._schedule[0][node_id],)))
+    return _sweep(ah, (ah.hierarchy._schedule[1].steps[node_id],))
 
 
 def sensing_process_update(
     ah: ActiveHierarchy, order: Iterable[str] | None = None
 ) -> ActiveHierarchy:
     """Sweep observations up: every non-world node, sources before sinks."""
-    plans, sensing, _ = ah.hierarchy._schedule
-    return _sweep(ah, _check_order(plans, sensing, order))
+    return _sweep(ah, _check_order(ah.hierarchy._schedule[0], order))
 
 
 def prediction_process_update(
     ah: ActiveHierarchy, order: Iterable[str] | None = None
 ) -> ActiveHierarchy:
     """Sweep task parameters and context down: uppers first, world last."""
-    plans, _, prediction = ah.hierarchy._schedule
-    return _sweep(ah, _check_order(plans, prediction, order))
+    return _sweep(ah, _check_order(ah.hierarchy._schedule[1], order))
 
 
 def process_update(ah: ActiveHierarchy) -> ActiveHierarchy:
@@ -564,6 +560,6 @@ def process_update(ah: ActiveHierarchy) -> ActiveHierarchy:
 
     Both run on one copy of the state, in orders compiled once per hierarchy.
     """
-    _, sensing, prediction = ah.hierarchy._schedule
-    return _sweep(ah, sensing, prediction)
+    sensing, prediction = ah.hierarchy._schedule
+    return _sweep(ah, sensing.steps.values(), prediction.steps.values())
 

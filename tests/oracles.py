@@ -10,7 +10,15 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from coghier.bp import BeliefTable, CausalTree
-from coghier.kernel import ActiveHierarchy
+from coghier.kernel import (
+    ActiveHierarchy,
+    ActiveNode,
+    Hierarchy,
+    KernelError,
+    OperatorError,
+    Tagged,
+    TagMismatchError,
+)
 
 
 def all_topological_orders(
@@ -31,8 +39,112 @@ def all_topological_orders(
     yield from rec((), ids)
 
 
+def reference_topological_order(ids, preceded):
+    """Level-sorted Kahn order, recomputing the ready set level by level."""
+    remaining = {nid: set(preceded.get(nid, ())) & set(ids) for nid in ids}
+    order = []
+    while remaining:
+        ready = sorted(nid for nid, pre in remaining.items() if not pre)
+        if not ready:
+            raise ValueError("dependency graph has a cycle")
+        for nid in ready:
+            order.append(nid)
+            del remaining[nid]
+        for pre in remaining.values():
+            pre.difference_update(ready)
+    return tuple(order)
+
+
+def _gather(fn, arg, tag: str, node: str, edge: tuple[str, str]) -> list:
+    """The values an edge function emits for ``node``, each checked against ``tag``."""
+    values = []
+    try:
+        for item in fn(arg):
+            if not isinstance(item, Tagged) or item.tag != tag:
+                raise TagMismatchError(f"edge emitted {item!r}, node expects {tag!r}", node, edge)
+            values.append(item.value)
+    except KernelError:
+        raise
+    except Exception as exc:
+        raise OperatorError(f"edge failed: {exc}", node, edge) from exc
+    return values
+
+
+def _operate(fn, node: str, *args):
+    """``fn(*args)``, a failure blamed on ``node`` alone."""
+    try:
+        return fn(*args)
+    except KernelError:
+        raise
+    except Exception as exc:
+        raise OperatorError(f"operator failed: {exc}", node) from exc
+
+
+def reference_tick(
+    hierarchy: Hierarchy, active: Mapping[str, ActiveNode], world_state: Any
+) -> tuple[dict[str, ActiveNode], Any]:
+    """One tick of the process model, transcribed from its definition.
+
+    A sensing sweep, then a prediction sweep, each walking
+    ``hierarchy.edges`` afresh. Observations are gathered by lower id, and
+    task parameters and context by upper id. The sensing order is the
+    level-sorted Kahn order of the non-world nodes; prediction runs it
+    reversed, with the world last. A node with no uppers keeps its policy.
+    A failure is an ``OperatorError`` naming the node being updated and, for
+    an edge, its (lower, upper) pair; a ``KernelError`` from user code passes
+    through. Shares nothing with the kernel but its data classes and errors.
+    Returns the new node states and world state; ``active`` is not changed.
+    """
+    world, edges, active = hierarchy.world_node, hierarchy.edges, dict(active)
+    lowers = {
+        nid: {e.lower for e in edges if e.upper == nid and e.lower != world}
+        for nid in hierarchy.node_ids
+        if nid != world
+    }
+    order = reference_topological_order(lowers, lowers)
+
+    for nid in order:
+        spec, observations = hierarchy.node(nid), []
+        for edge in sorted((e for e in edges if e.upper == nid), key=lambda e: e.lower):
+            source = world_state if edge.lower == world else active[edge.lower].belief
+            tag, pair = spec.spaces.observation_space, (edge.lower, nid)
+            observations += _gather(edge.sensing_fn, source, tag, nid, pair)
+        node = active[nid]
+        belief = _operate(spec.observation_update, nid, tuple(observations), node.belief)
+        active[nid] = ActiveNode(nid, belief, node.policy, node.actions)
+
+    for nid in (*reversed(order), world):
+        spec, task_params, contexts = hierarchy.node(nid), [], []
+        above = sorted((e for e in edges if e.lower == nid), key=lambda e: e.upper)
+        for edge in above:
+            upper, pair = active[edge.upper], (nid, edge.upper)
+            task_tag, context_tag = spec.spaces.task_param_space, spec.spaces.context_space
+            task_params += _gather(edge.task_param_fn, upper.actions, task_tag, nid, pair)
+            contexts += _gather(edge.context_fn, upper.belief, context_tag, nid, pair)
+        if nid == world:
+            args = (tuple(contexts), tuple(task_params), world_state)
+            world_state = _operate(spec.prediction_update, nid, *args)
+            continue
+        node = active[nid]
+        policy = node.policy
+        if above:
+            policy = _operate(spec.policy_selector, nid, tuple(task_params))
+            if policy not in spec.policies:
+                raise OperatorError(f"selector chose unknown policy {policy!r}", nid)
+        actions = _operate(lambda belief: tuple(spec.policies[policy](belief)), nid, node.belief)
+        belief = _operate(spec.prediction_update, nid, tuple(contexts), actions, node.belief)
+        active[nid] = ActiveNode(nid, belief, policy, actions)
+    return active, world_state
+
+
 def payloads_equal(a: Any, b: Any) -> bool:
-    """Exact structural equality over nested tuples, arrays and scalars."""
+    """Exact structural equality over nested tuples, arrays and scalars.
+
+    An object equals itself, so states that share earlier payloads compare
+    in time proportional to what differs between them.
+    """
+    if a is b:
+        return True
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a_arr, b_arr = np.asarray(a), np.asarray(b)
         return a_arr.shape == b_arr.shape and bool(np.array_equal(a_arr, b_arr))

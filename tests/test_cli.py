@@ -172,6 +172,11 @@ UNREACHABLE = [f"processor {pid!r} is not reachable from the root" for pid in ("
         (set_field("N4", "prior", [-1.0, 2.0]), ["'N4': causal has negative entries"]),
         (unreachable_pair, UNREACHABLE),
         (root_named_as_world, [f"processor id {bp.WORLD_ID!r} is reserved for the world node"]),
+        (set_field("N4", "prior", [1e308, 1e308]), ["'N4': causal sums to inf, which is not finite"]),
+        (
+            set_field("N3", "external_input", [1e308, 1e308]),
+            ["'N3': external_input sums to inf, which is not finite"],
+        ),
     ],
 )
 def test_tree_violations_reach_validate_and_bp(tmp_path, capsys, mutate, violations):

@@ -64,9 +64,9 @@ def test_unreachable_node_reported():
     spaces["W"] = world.spaces
     edges = (world_edge(spaces, "W", "A"), recorder_edge(spaces, "B", "A"))
     h = Hierarchy(nodes=(world, *specs), world_node="W", edges=edges)
-    report = kernel.validate(h)
-    kinds = {v.kind for v in report.violations}
-    assert "unreachable" in kinds or "unique_source" in kinds
+    # B is unreachable from the world because nothing senses into it, so it is a second source
+    expected = "unique_source: node 'B' has no incoming sensing edge; world must be the only source"
+    assert kernel.validate(h).format_lines() == [expected]
 
 
 def test_world_with_incoming_sensing_edge_reported():
@@ -587,7 +587,8 @@ def test_failure_at_the_last_step_leaves_the_snapshot_untouched():
 def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):
     calls = {}
     ordering = ("canonical_topological_order", "_kahn")
-    for name in (*ordering, "sensing_dependencies", "prediction_dependencies"):
+    builders = ("_sensing_step", "_prediction_step")
+    for name in (*ordering, *builders, "sensing_dependencies", "prediction_dependencies"):
 
         def counting(*args, _name=name, _inner=getattr(kernel, name)):
             calls[_name] = calls.get(_name, 0) + 1
@@ -596,10 +597,15 @@ def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):
         monkeypatch.setattr(kernel, name, counting)
 
     ah = kernel.init_active(diamond(), "env")
-    # validate's cycle search and the one sensing order; the prediction sweep is its reverse
-    assert calls == {"canonical_topological_order": 1, "_kahn": 2}
+    # validate's cycle search and the one sensing order; the prediction sweep is its reverse.
+    # Each node gets its steps built once: a sensing step for each of A, B, C and D, and a
+    # prediction step for those four and the world.
+    assert calls == {
+        "canonical_topological_order": 1, "_kahn": 2, "_sensing_step": 4, "_prediction_step": 5
+    }
     calls.clear()
     for _ in range(10):
         ah = kernel.process_update(ah)
+    ah = kernel.prediction_node_update(kernel.sensing_node_update(ah, "A"), "A")
+    ah = kernel.sensing_process_update(ah, ["D", "B", "A", "C"])
     assert calls == {}
-

@@ -4,10 +4,11 @@ Random valid hierarchies are a world node plus recorder nodes wired by
 edges from a lower index to a higher one, every non-world node having at
 least one incoming edge. Node ids are shuffled against the index order, so
 the id-sorted levels of the canonical order differ from the wiring order.
-The reference functions below are the quadratic ordering and cycle search
-the kernel used before it compiled its schedule once per hierarchy, and the
-edge walks that built both dependency relations before they were read from
-the compiled node plans.
+The reference ordering is the quadratic one the kernel used before it
+compiled its schedule once per hierarchy
+(``oracles.reference_topological_order``). The reference functions below
+are the cycle search of that time and the edge walks that built both
+dependency relations before they were read from the compiled schedule.
 """
 
 from dataclasses import replace
@@ -18,26 +19,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from coghier import kernel
-from coghier.kernel import Hierarchy, make_world_node_spec
+from coghier.kernel import EdgeTriple, Hierarchy, emit_nothing, make_world_node_spec
 
 WORLD = "W"
 NAMES = tuple(f"N{i:02d}" for i in range(12))
-
-
-def reference_topological_order(ids, preceded):
-    """Level-sorted Kahn order, recomputing the ready set level by level."""
-    remaining = {nid: set(preceded.get(nid, ())) & set(ids) for nid in ids}
-    order = []
-    while remaining:
-        ready = sorted(nid for nid, pre in remaining.items() if not pre)
-        if not ready:
-            raise ValueError("dependency graph has a cycle")
-        for nid in ready:
-            order.append(nid)
-            del remaining[nid]
-        for pre in remaining.values():
-            pre.difference_update(ready)
-    return tuple(order)
 
 
 def reference_cycle_members(ids, preceded):
@@ -139,7 +124,7 @@ def test_canonical_order_matches_the_level_sorted_reference(wiring):
         kernel.prediction_dependencies(hierarchy),
     ):
         assert kernel.canonical_topological_order(preceded, preceded) == (
-            reference_topological_order(preceded, preceded)
+            oracles.reference_topological_order(preceded, preceded)
         )
 
 
@@ -174,7 +159,7 @@ def test_canonical_order_matches_the_reference_on_any_graph(ids, constraints):
     for before, after in constraints:
         preceded.setdefault(after, set()).add(before)
     try:
-        expected = reference_topological_order(ids, preceded)
+        expected = oracles.reference_topological_order(ids, preceded)
     except ValueError as err:
         expected = str(err)
     try:
@@ -238,3 +223,27 @@ def test_cycle_violation_names_what_the_reference_search_leaves(wiring, rng):
     expected = ["cycle: sensing graph has a cycle through " + ", ".join(sorted(cyclic))]
     lines = kernel.validate(hierarchy).format_lines()
     assert [line for line in lines if line.startswith("cycle:")] == expected
+
+
+@given(
+    st.lists(st.sampled_from(NAMES[:6]), max_size=6, unique=True),
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from((WORLD, *NAMES[:7])), st.sampled_from((WORLD, *NAMES[:7])))),
+)
+def test_a_node_unreachable_from_the_world_is_always_reported(ids, with_world, pairs):
+    """Partly malformed wirings: unknown ends, self-edges, duplicate edges, cycles, no world."""
+    nodes = [recorder_node(nid) for nid in ids]
+    if with_world:
+        nodes.append(make_world_node_spec(WORLD))
+    edges = tuple(EdgeTriple(lower, upper, emit_nothing) for lower, upper in pairs)
+    hierarchy = Hierarchy(nodes=tuple(nodes), world_node=WORLD, edges=edges)
+    reachable = {WORLD} if with_world else set()
+    frontier = list(reachable)
+    while frontier:
+        lower = frontier.pop()
+        for upper in {e.upper for e in edges if e.lower == lower} & set(ids) - reachable:
+            reachable.add(upper)
+            frontier.append(upper)
+    kinds = {v.kind for v in kernel.validate(hierarchy).violations}
+    if set(ids) - reachable:
+        assert kinds & {"cycle", "unique_source", "world_missing"}
