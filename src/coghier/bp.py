@@ -258,9 +258,10 @@ def encode(tree: CausalTree) -> Hierarchy:
     edge emits one ``(slot, vector)`` pair, which the observation update
     writes into that slot; exactly one pair arrives per slot per tick. The
     world node :data:`WORLD_ID` holds each processor's external input vector.
+    An ill-formed tree raises ``ValueError``: its violations joined by "; ".
     """
-    if tree_violations(tree):
-        raise ValueError("cannot encode an ill-formed tree")
+    if bad := tree_violations(tree):
+        raise ValueError("; ".join(bad))
     procs = tree.processors
     spaces = {pid: default_spaces(pid) for pid in procs}
     nodes: list[CognitiveNodeSpec] = [make_world_node_spec(WORLD_ID)]
@@ -389,8 +390,10 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
     Pearl's two passes are one tick, so the second tick must leave every slot
     and causal vector within 1e-12 of where the first put it, or the check
     fails with no fixpoint after 2 ticks and no deviation measured (``inf``).
-    The reference beliefs come from :func:`bp_propagate`.
+    The reference beliefs come from :func:`bp_propagate`. An ill-formed tree
+    raises ``ValueError`` from :func:`encode` before either side walks it.
     """
+    hierarchy = encode(tree)
     oracle = bp_propagate(tree)
     if oracle.degenerate:
         return EquivalenceReport(
@@ -399,7 +402,7 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
             detail="reference propagation hit contradictory evidence",
         )
 
-    ah = kernel.init_active(encode(tree), initial_world_state(tree))
+    ah = kernel.init_active(hierarchy, initial_world_state(tree))
     vectors = []
     try:
         for ticks in (1, 2):

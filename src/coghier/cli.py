@@ -88,11 +88,11 @@ def cmd_bp(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"parse error in {args.path}: {exc}", file=sys.stderr)
             return 2
-        bad = bp.tree_violations(tree)
-        if bad:
-            print(f"invalid tree in {args.path}: {'; '.join(bad)}", file=sys.stderr)
+        try:
+            passed = _report_equivalence(os.path.basename(args.path), tree, args.tolerance)
+        except ValueError as exc:
+            print(f"invalid tree in {args.path}: {exc}", file=sys.stderr)
             return 2
-        passed = _report_equivalence(os.path.basename(args.path), tree, args.tolerance)
         table = bp.bp_propagate(tree)
         for pid in sorted(table.beliefs):
             print(f"BEL({pid}) = {_fmt_vector(table.beliefs[pid])}")
@@ -145,12 +145,8 @@ def cmd_servo(args: argparse.Namespace) -> int:
 
     if len(modes) < 2:
         return 0
-    by_trial: dict[int, dict[str, float]] = {}
-    for row in summary.rows:
-        by_trial.setdefault(row.trial, {})[row.mode] = row.mean_error
-    dominated = all(
-        errs["context"] < errs["no_context"] for errs in by_trial.values() if len(errs) == 2
-    )
+    errors = summary.errors
+    dominated = all(ctx < plain for ctx, plain in zip(errors["context"], errors["no_context"]))
     if not dominated:
         print("context mode did not dominate on every trial", file=sys.stderr)
     return 0 if dominated else 1

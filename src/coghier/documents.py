@@ -124,7 +124,7 @@ def document_kind(doc: Any) -> str:
 # and ``<name>.edge`` bundles.
 _DEMOS: dict[str, Callable[[], Hierarchy]] = {
     "thecat": lambda: bp.encode(bp.thecat_tree()),
-    "servo": lambda: servo.build_servo_hierarchy(servo.ServoParams()),
+    "servo": lambda: servo.build_servo_hierarchy(servo.ServoParams(), "context"),
 }
 
 
@@ -136,19 +136,11 @@ def default_registry() -> OperatorRegistry:
     registry.register_edge("noop.edge", lambda lower, upper: (emit_nothing, emit_nothing, emit_nothing))
     for name, build in _DEMOS.items():
         hierarchy = build()
-        for nid in hierarchy.node_ids:
-            registry.register_node(f"{name}.{nid}", _exact_node(hierarchy, nid))
+        # each node bundle returns its spec; the loader refuses it under another node id
+        for spec in hierarchy.nodes:
+            registry.register_node(f"{name}.{spec.node_id}", lambda _nid, spec=spec: spec)
         registry.register_edge(f"{name}.edge", _exact_edge(hierarchy, name))
     return registry
-
-
-def _exact_node(hierarchy: Hierarchy, node_id: str) -> NodeBuilder:
-    def build(nid: str) -> CognitiveNodeSpec:
-        if nid != node_id:
-            raise DocumentError(f"bundle is bound to node {node_id!r}, not {nid!r}")
-        return hierarchy.node(node_id)
-
-    return build
 
 
 def _exact_edge(hierarchy: Hierarchy, bundle: str) -> EdgeBuilder:

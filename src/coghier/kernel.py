@@ -508,6 +508,14 @@ def _check_order(phase: _Phase, order: Iterable[str] | None) -> Iterable[Callabl
     return [phase.steps[nid] for nid in order]
 
 
+def _node_step(phase: _Phase, node_id: str) -> Callable:
+    """``phase``'s step for one node; ``ValueError`` for an id the hierarchy lacks."""
+    step = phase.steps.get(node_id)
+    if step is None:
+        raise ValueError(f"unknown node {node_id!r}")
+    return step
+
+
 def _sweep(ah: ActiveHierarchy, *sweeps: Iterable[Callable]) -> ActiveHierarchy:
     """Run ``sweeps`` on one copy of the active state; the caller's stays as it was."""
     active, world_state = dict(ah.active), ah.world_state
@@ -525,7 +533,7 @@ def sensing_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
     """
     if node_id == ah.hierarchy.world_node:
         raise ValueError("the world node does not perform sensing updates")
-    return _sweep(ah, (ah.hierarchy._schedule[0].steps[node_id],))
+    return _sweep(ah, (_node_step(ah.hierarchy._schedule[0], node_id),))
 
 
 def prediction_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy:
@@ -538,7 +546,7 @@ def prediction_node_update(ah: ActiveHierarchy, node_id: str) -> ActiveHierarchy
     actions in the prediction update. For the world node the gathered task
     parameters are folded into the world state instead.
     """
-    return _sweep(ah, (ah.hierarchy._schedule[1].steps[node_id],))
+    return _sweep(ah, (_node_step(ah.hierarchy._schedule[1], node_id),))
 
 
 def sensing_process_update(

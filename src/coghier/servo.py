@@ -31,7 +31,7 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -69,7 +69,6 @@ class ServoParams:
     duration: float = 3.0
     noise_sigma: float = 0.1
     kalman_gain: float = 0.25
-    mode: str = "context"
     seed: int = 42
     trials: int = 100
 
@@ -87,8 +86,6 @@ class ServoParams:
             raise ValueError("noise_sigma must be non-negative")
         if not 0.0 <= self.kalman_gain <= 1.0:
             raise ValueError("kalman_gain must lie in [0, 1]")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
         if self.seed < 0:
@@ -116,12 +113,14 @@ class ServoWorld(NamedTuple):
     sensor_reading: np.ndarray
 
 
-def build_servo_hierarchy(params: ServoParams) -> Hierarchy:
-    """Wire the world, filter and physics nodes for the requested mode."""
+def build_servo_hierarchy(params: ServoParams, mode: str) -> Hierarchy:
+    """Wire the world, filter and physics nodes for ``mode``, one of :data:`MODES`."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     gain, keep = params.kalman_gain, 1.0 - params.kalman_gain
     k, dt = params.accel, params.dt
     drift, dv = 0.5 * k * dt * dt, k * dt
-    with_context = params.mode == "context"
+    with_context = mode == "context"
 
     filter_spaces = default_spaces(FILTER_NODE)
     physics_spaces = default_spaces(PHYSICS_NODE)
@@ -237,13 +236,14 @@ def _run_trials(
     once per call, in the order one draw per step would take them. Each
     tick every mode's hierarchy reads the same read-only reading vector.
     Each trial's error sum accumulates step by step. ``on_tick(state,
-    errors)`` sees every tick of every mode.
+    errors)`` sees every tick of every mode. Every mode's hierarchy is
+    built, so an unknown mode is refused, before any generator is seeded.
     """
+    hierarchies = [build_servo_hierarchy(params, mode) for mode in modes]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     at_rest = np.zeros(len(rngs))
     at_rest.setflags(write=False)
     start = ServoWorld(0.0, 0.0, at_rest, at_rest)
-    hierarchies = [build_servo_hierarchy(replace(params, mode=mode)) for mode in modes]
     states = [kernel.init_active(hierarchy, start) for hierarchy in hierarchies]
     totals = [0.0] * len(states)
     t = 0.0
@@ -266,8 +266,8 @@ def _run_trials(
     return [total / params.steps for total in totals]
 
 
-def run_episode(params: ServoParams) -> ServoEpisode:
-    """Simulate one episode seeded ``params.seed``: a batch of one trial."""
+def run_episode(params: ServoParams, mode: str) -> ServoEpisode:
+    """Simulate one episode in ``mode`` seeded ``params.seed``: a batch of one trial."""
     records: list[StepRecord] = []
 
     def record(ah: kernel.ActiveHierarchy, errors: np.ndarray) -> None:
@@ -284,7 +284,7 @@ def run_episode(params: ServoParams) -> ServoEpisode:
             )
         )
 
-    (mean_error,) = _run_trials(params, (params.mode,), (params.seed,), record)
+    (mean_error,) = _run_trials(params, (mode,), (params.seed,), record)
     return ServoEpisode(tuple(records), float(mean_error[0]))
 
 
@@ -329,13 +329,6 @@ def expected_error(params: ServoParams, mode: str) -> float:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    trial: int
-    mode: str
-    mean_error: float
-
-
-@dataclass(frozen=True)
 class ModeStats:
     mean: float
     std: float
@@ -346,7 +339,7 @@ class ModeStats:
 class ExperimentSummary:
     per_mode: dict[str, ModeStats]
     reduction_percent: float | None
-    rows: tuple[TrialResult, ...]
+    errors: dict[str, tuple[float, ...]]  # each mode's per-trial mean |error|, trial i at index i
 
 
 def run_experiment(
@@ -358,34 +351,30 @@ def run_experiment(
     experiment and the modes run in lockstep on that one draw of readings,
     so per-trial comparisons across modes share their noise realisations.
     The trials of a mode run as one batch, each equal to ``run_episode``
-    with its seed. Raises ``ValueError`` when a mode's errors or their
-    summary overflow float64.
+    with its seed. Raises ``ValueError`` for an unknown mode, before any
+    generator is seeded, and when a mode's errors or their summary overflow
+    float64.
     """
     modes = tuple(modes)
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-    rows: list[TrialResult] = []
     per_mode: dict[str, ModeStats] = {}
+    errors: dict[str, tuple[float, ...]] = {}
     seeds = range(params.seed, params.seed + params.trials)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports any overflow
         results = _run_trials(params, modes, seeds)
-    for mode, mode_errors in zip(modes, results):
+    for mode, batch in zip(modes, results):
         overflow = ValueError(f"the {mode} run overflows float64; lower accel, noise or duration")
-        if not np.isfinite(mode_errors).all():
+        if not np.isfinite(batch).all():
             raise overflow
-        errors = mode_errors.tolist()
-        rows.extend(TrialResult(trial, mode, error) for trial, error in enumerate(errors))
+        errors[mode] = values = tuple(batch.tolist())
         try:
-            std = statistics.stdev(errors) if len(errors) > 1 else 0.0
-            per_mode[mode] = ModeStats(mean=statistics.fmean(errors), std=std, n=len(errors))
+            std = statistics.stdev(values) if len(values) > 1 else 0.0
+            per_mode[mode] = ModeStats(mean=statistics.fmean(values), std=std, n=len(values))
         except OverflowError as exc:
             raise overflow from exc
     reduction = None
     if "context" in per_mode and "no_context" in per_mode and per_mode["no_context"].mean > 0:
         reduction = 100.0 * (1.0 - per_mode["context"].mean / per_mode["no_context"].mean)
-    rows.sort(key=lambda r: (r.trial, r.mode))
-    return ExperimentSummary(per_mode=per_mode, reduction_percent=reduction, rows=tuple(rows))
+    return ExperimentSummary(per_mode=per_mode, reduction_percent=reduction, errors=errors)
 
 
 def _sig12(x: float) -> float:
@@ -408,8 +397,10 @@ def write_csv(path: str, summary: ExperimentSummary) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["trial", "mode", "mean_error"])
-        for row in summary.rows:
-            writer.writerow([row.trial, row.mode, repr(row.mean_error)])
+        modes = sorted(summary.errors)
+        for trial, errors in enumerate(zip(*(summary.errors[mode] for mode in modes))):
+            for mode, error in zip(modes, errors):
+                writer.writerow([trial, mode, repr(error)])
 
 
 def write_json(path: str, summary: ExperimentSummary) -> None:

@@ -116,11 +116,9 @@ def test_criterion_4_tracking_error_reproduction():
     summary = servo.run_experiment(params)
     reduction = summary.reduction_percent
 
-    by_trial = {}
-    for row in summary.rows:
-        by_trial.setdefault(row.trial, {})[row.mode] = row.mean_error
     per_trial_reductions = [
-        100.0 * (1.0 - errs["context"] / errs["no_context"]) for errs in by_trial.values()
+        100.0 * (1.0 - context / no_context)
+        for context, no_context in zip(summary.errors["context"], summary.errors["no_context"])
     ]
     elapsed = time.perf_counter() - started
 
@@ -162,7 +160,7 @@ def test_criterion_5_property_suite():
 
     # determinism: identical seeds give bit-identical episodes and ticks
     params = ServoParams(trials=1, seed=13)
-    assert servo.run_episode(params) == servo.run_episode(params)
+    assert servo.run_episode(params, "context") == servo.run_episode(params, "context")
     ah = kernel.init_active(diamond(), "env")
     assert oracles.active_states_equal(kernel.process_update(ah), kernel.process_update(ah))
     details.append("determinism ok")
@@ -197,7 +195,7 @@ def test_criterion_5_property_suite():
 
     # integrator drift: repeated one-step physics stays near the closed form
     p = ServoParams()
-    predict = servo.build_servo_hierarchy(p).node(servo.PHYSICS_NODE).prediction_update
+    predict = servo.build_servo_hierarchy(p, "context").node(servo.PHYSICS_NODE).prediction_update
     position_velocity = (0.0, 0.0)
     for _ in range(p.steps):
         position_velocity = predict((), (), position_velocity)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 import signal
 from dataclasses import replace
 
@@ -496,6 +497,24 @@ def two_processor_tree(root=None, child=None):
 )
 def test_tree_violations_name_each_structural_fault(root, child, violation):
     assert bp.tree_violations(two_processor_tree(root, child)) == [violation]
+
+
+def without_n2():
+    """The word/letter tree with ``N2`` deleted while ``N4`` still lists it."""
+    tree = bp.thecat_tree()
+    return replace(tree, processors={pid: p for pid, p in tree.processors.items() if pid != "N2"})
+
+
+@pytest.mark.parametrize(
+    "tree, violation",
+    [
+        (without_n2(), "'N4' lists unknown child 'N2'"),
+        (replace(bp.thecat_tree(), root="X"), "root 'X' is not a processor"),
+    ],
+)
+def test_equivalence_check_refuses_an_ill_formed_tree_before_walking_it(tree, violation):
+    with pytest.raises(ValueError, match=re.escape(violation)):
+        bp.equivalence_check(tree)
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,16 @@ def test_non_string_world_node_is_parse_error(tmp_path, capsys):
     assert_one_line_input_error(["validate", path], capsys, "parse error")
 
 
+def test_demo_bundle_bound_to_another_node_is_parse_error(tmp_path, capsys):
+    doc = documents.demo_document("thecat")
+    doc["nodes"] = [
+        dict(rec, operators="thecat.N2") if rec["id"] == "N1" else rec for rec in doc["nodes"]
+    ]
+    path = write_json(tmp_path / "misbound.json", doc)
+    start = f"parse error in {path}: bundle 'thecat.N2' built node 'N2', document says 'N1'"
+    assert_one_line_input_error(["validate", path], capsys, start)
+
+
 # ---------------------------------------------------------------------------
 # bp
 

@@ -204,6 +204,13 @@ def test_sensing_update_rejects_world_node():
         kernel.sensing_node_update(ah, "W")
 
 
+@pytest.mark.parametrize("update", [kernel.sensing_node_update, kernel.prediction_node_update])
+def test_node_updates_reject_an_unknown_node(update):
+    ah = kernel.init_active(diamond(), "env")
+    with pytest.raises(ValueError, match="unknown node 'Z'"):
+        update(ah, "Z")
+
+
 def test_sensing_locality():
     ah = kernel.init_active(diamond(), "env")
     ah2 = kernel.sensing_node_update(ah, "B")

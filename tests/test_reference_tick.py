@@ -49,7 +49,7 @@ def test_ticks_match_the_reference_on_encoded_random_trees(seed):
 
 @pytest.mark.parametrize("mode", servo.MODES)
 def test_ticks_match_the_reference_on_the_servo_hierarchy(mode):
-    hierarchy = servo.build_servo_hierarchy(replace(servo.ServoParams(), mode=mode))
+    hierarchy = servo.build_servo_hierarchy(servo.ServoParams(), mode)
     readings = np.random.default_rng(7).normal(0.0, 0.1, 3)
     world = servo.ServoWorld(0.05, 0.01, np.zeros(3), readings)
     assert_ticks_match(kernel.init_active(hierarchy, world))

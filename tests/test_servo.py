@@ -12,7 +12,7 @@ from coghier import kernel, servo
 from coghier.servo import ServoParams
 
 
-def hand_trace(params, ticks):
+def hand_trace(params, mode, ticks):
     """Direct recurrence for the noise-free episode, no hierarchy involved.
 
     Per tick: advance time, filter the exact reading, relay the estimate to
@@ -21,7 +21,7 @@ def hand_trace(params, ticks):
     camera to the filtered estimate.
     """
     k, dt, g = params.accel, params.dt, params.kalman_gain
-    with_context = params.mode == "context"
+    with_context = mode == "context"
     prior = 0.0
     x2, v2 = 0.0, 0.0
     rows = []
@@ -69,7 +69,6 @@ def test_params_allow_exactly_the_trial_cap():
         {"duration": 0.01},
         {"noise_sigma": -1.0},
         {"kalman_gain": 1.5},
-        {"mode": "sideways"},
         {"trials": 0},
         {"accel": float("nan")},
         {"dt": float("nan")},
@@ -92,14 +91,14 @@ def test_params_validation(kwargs):
 
 
 def test_filter_observation_update():
-    h = servo.build_servo_hierarchy(ServoParams())
+    h = servo.build_servo_hierarchy(ServoParams(), "context")
     node = h.node(servo.FILTER_NODE)
     assert node.observation_update((4.0,), 0.0) == pytest.approx(1.0)
     assert node.initial_belief == 0.0
 
 
 def test_physics_prediction_from_rest():
-    h = servo.build_servo_hierarchy(ServoParams())
+    h = servo.build_servo_hierarchy(ServoParams(), "context")
     node = h.node(servo.PHYSICS_NODE)
     x, v = node.prediction_update((), (), (0.0, 0.0))
     assert x == pytest.approx(0.5 * 8.49 * 0.05**2)
@@ -109,13 +108,13 @@ def test_physics_prediction_from_rest():
 
 
 def test_filter_prediction_without_context_returns_action():
-    h = servo.build_servo_hierarchy(ServoParams(mode="no_context"))
+    h = servo.build_servo_hierarchy(ServoParams(), "no_context")
     node = h.node(servo.FILTER_NODE)
     assert node.prediction_update((), (7.5,), 1.0) == 7.5
 
 
 def test_filter_prediction_with_context_returns_context():
-    h = servo.build_servo_hierarchy(ServoParams(mode="context"))
+    h = servo.build_servo_hierarchy(ServoParams(), "context")
     node = h.node(servo.FILTER_NODE)
     assert node.prediction_update((3.25,), (7.5,), 1.0) == 3.25
     # empty context falls back to the commanded action
@@ -123,8 +122,8 @@ def test_filter_prediction_with_context_returns_context():
 
 
 def test_context_edge_present_only_in_context_mode():
-    with_ctx = servo.build_servo_hierarchy(ServoParams(mode="context"))
-    without = servo.build_servo_hierarchy(ServoParams(mode="no_context"))
+    with_ctx = servo.build_servo_hierarchy(ServoParams(), "context")
+    without = servo.build_servo_hierarchy(ServoParams(), "no_context")
     relay = next(e for e in with_ctx.edges if e.lower == servo.FILTER_NODE)
     assert relay.context_fn((3.0, 1.0)) != ()
     relay = next(e for e in without.edges if e.lower == servo.FILTER_NODE)
@@ -133,7 +132,7 @@ def test_context_edge_present_only_in_context_mode():
 
 def test_hierarchies_validate():
     for mode in servo.MODES:
-        assert kernel.validate(servo.build_servo_hierarchy(ServoParams(mode=mode))).ok
+        assert kernel.validate(servo.build_servo_hierarchy(ServoParams(), mode)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +141,9 @@ def test_hierarchies_validate():
 
 @pytest.mark.parametrize("mode", servo.MODES)
 def test_first_five_ticks_match_hand_recurrence(mode):
-    params = ServoParams(noise_sigma=0.0, mode=mode, trials=1)
-    episode = servo.run_episode(params)
-    expected = hand_trace(params, 5)
+    params = ServoParams(noise_sigma=0.0, trials=1)
+    episode = servo.run_episode(params, mode)
+    expected = hand_trace(params, mode, 5)
     for record, want in zip(episode.steps[:5], expected):
         assert record.t == pytest.approx(want["t"], abs=1e-12)
         assert record.true_position == pytest.approx(want["true"], abs=1e-12)
@@ -156,8 +155,8 @@ def test_first_five_ticks_match_hand_recurrence(mode):
 
 
 def test_first_tick_filter_prior_becomes_physics_prediction():
-    params = ServoParams(noise_sigma=0.0, mode="context", trials=1)
-    episode = servo.run_episode(params)
+    params = ServoParams(noise_sigma=0.0, trials=1)
+    episode = servo.run_episode(params, "context")
     first = episode.steps[0]
     # the camera follows the filtered estimate; the physics prediction
     # lands in the filter node as its prior for the next reading
@@ -167,9 +166,9 @@ def test_first_tick_filter_prior_becomes_physics_prediction():
 
 
 def test_full_episode_matches_hand_recurrence():
-    params = ServoParams(noise_sigma=0.0, mode="context", trials=1)
-    episode = servo.run_episode(params)
-    expected = hand_trace(params, params.steps)
+    params = ServoParams(noise_sigma=0.0, trials=1)
+    episode = servo.run_episode(params, "context")
+    expected = hand_trace(params, "context", params.steps)
     assert len(episode.steps) == params.steps
     assert episode.mean_error == pytest.approx(
         sum(r["err"] for r in expected) / len(expected), abs=1e-12
@@ -177,13 +176,13 @@ def test_full_episode_matches_hand_recurrence():
 
 
 def test_mean_error_is_mean_of_step_errors():
-    episode = servo.run_episode(ServoParams(trials=1, seed=3))
+    episode = servo.run_episode(ServoParams(trials=1, seed=3), "context")
     assert episode.mean_error == pytest.approx(
         sum(s.abs_error for s in episode.steps) / len(episode.steps)
     )
 
 
-def noisy_mean_error(params):
+def noisy_mean_error(params, mode):
     """Scalar recurrence of one noisy episode, one reading drawn per step.
 
     The arithmetic follows the operators term by term, so the hierarchy
@@ -198,7 +197,7 @@ def noisy_mean_error(params):
         reading = p + rng.normal(0.0, params.noise_sigma)
         f = (1.0 - g) * prior + g * reading
         x2, v2 = f + v2 * dt + 0.5 * k * dt * dt, v2 + k * dt
-        prior = x2 if params.mode == "context" else f
+        prior = x2 if mode == "context" else f
         total = total + abs(f - p)
     return total / params.steps
 
@@ -217,12 +216,13 @@ def test_batched_experiment_equals_per_episode_runs(seed, sigma, gain, trials, s
     )
     assert params.steps == steps
     summary = servo.run_experiment(params)
-    assert len(summary.rows) == 2 * trials
-    for row in summary.rows:
-        single = replace(params, mode=row.mode, seed=seed + row.trial)
-        episode = servo.run_episode(single)
-        assert row.mean_error == episode.mean_error
-        assert episode.mean_error == noisy_mean_error(single)
+    assert sum(map(len, summary.errors.values())) == 2 * trials
+    for mode, errors in summary.errors.items():
+        for trial, mean_error in enumerate(errors):
+            single = replace(params, seed=seed + trial)
+            episode = servo.run_episode(single, mode)
+            assert mean_error == episode.mean_error
+            assert episode.mean_error == noisy_mean_error(single, mode)
 
 
 @pytest.mark.parametrize("seed, trials", [(0, 1), (42, 7), (1001, 3)])
@@ -231,7 +231,7 @@ def test_each_mode_of_an_experiment_equals_its_one_mode_experiment(seed, trials)
     both = servo.run_experiment(params)
     for mode in servo.MODES:
         alone = servo.run_experiment(params, modes=(mode,))
-        assert [row for row in both.rows if row.mode == mode] == list(alone.rows)
+        assert both.errors[mode] == alone.errors[mode]
         assert both.per_mode[mode] == alone.per_mode[mode]
 
 
@@ -262,8 +262,8 @@ def test_the_modes_read_one_read_only_reading_per_tick():
 def test_an_operator_writing_into_its_reading_fails_inside_that_operator(monkeypatch):
     build = servo.build_servo_hierarchy
 
-    def writing_filter(params):
-        hierarchy = build(params)
+    def writing_filter(params, mode):
+        hierarchy = build(params, mode)
         spec = hierarchy.node(servo.FILTER_NODE)
 
         def observe(observations, belief):
@@ -288,17 +288,15 @@ def test_an_operator_writing_into_its_reading_fails_inside_that_operator(monkeyp
 
 def test_episodes_are_deterministic_per_seed():
     params = ServoParams(seed=11, trials=1)
-    a = servo.run_episode(params)
-    b = servo.run_episode(params)
+    a = servo.run_episode(params, "context")
+    b = servo.run_episode(params, "context")
     assert a.steps == b.steps
     assert a.mean_error == b.mean_error
 
 
 def test_no_context_error_is_seed_independent_without_noise():
     means = {
-        servo.run_episode(
-            ServoParams(noise_sigma=0.0, mode="no_context", seed=seed, trials=1)
-        ).mean_error
+        servo.run_episode(ServoParams(noise_sigma=0.0, seed=seed, trials=1), "no_context").mean_error
         for seed in (0, 1, 2)
     }
     assert len(means) == 1
@@ -310,23 +308,23 @@ def test_noise_increases_context_error():
     for sigma in (0.25, 0.5):
         for seed in range(5):
             quiet = servo.run_episode(
-                ServoParams(noise_sigma=0.0, mode="context", seed=seed, trials=1)
+                ServoParams(noise_sigma=0.0, seed=seed, trials=1), "context"
             ).mean_error
             noisy = servo.run_episode(
-                ServoParams(noise_sigma=sigma, mode="context", seed=seed, trials=1)
+                ServoParams(noise_sigma=sigma, seed=seed, trials=1), "context"
             ).mean_error
             assert quiet < noisy
 
 
 def test_context_dominates_every_seed():
     for seed in range(8):
-        ctx = servo.run_episode(ServoParams(mode="context", seed=seed, trials=1))
-        plain = servo.run_episode(ServoParams(mode="no_context", seed=seed, trials=1))
+        ctx = servo.run_episode(ServoParams(seed=seed, trials=1), "context")
+        plain = servo.run_episode(ServoParams(seed=seed, trials=1), "no_context")
         assert ctx.mean_error < plain.mean_error
 
 
 def test_no_context_error_grows_with_an_accelerating_target():
-    episode = servo.run_episode(ServoParams(noise_sigma=0.0, mode="no_context", trials=1))
+    episode = servo.run_episode(ServoParams(noise_sigma=0.0, trials=1), "no_context")
     assert episode.mean_error > 0
     errors = [s.abs_error for s in episode.steps]
     assert errors[-1] > errors[20] > errors[5]
@@ -334,7 +332,7 @@ def test_no_context_error_grows_with_an_accelerating_target():
 
 def test_physics_node_tracks_closed_form_within_drift_bound():
     params = ServoParams()
-    h = servo.build_servo_hierarchy(params)
+    h = servo.build_servo_hierarchy(params, "context")
     predict = h.node(servo.PHYSICS_NODE).prediction_update
     state = (0.0, 0.0)
     for _ in range(params.steps):
@@ -348,19 +346,17 @@ def test_experiment_reduction_and_shared_seed_schedule():
     summary = servo.run_experiment(ServoParams(trials=10, seed=42))
     assert summary.reduction_percent is not None
     assert summary.reduction_percent >= 90.0
-    by_trial = {}
-    for row in summary.rows:
-        by_trial.setdefault(row.trial, {})[row.mode] = row.mean_error
+    by_trial = list(zip(summary.errors["context"], summary.errors["no_context"]))
     assert len(by_trial) == 10
-    for errs in by_trial.values():
-        assert errs["context"] < errs["no_context"]
+    for context, no_context in by_trial:
+        assert context < no_context
 
 
 @pytest.mark.parametrize("mode", servo.MODES)
 def test_expected_error_equals_noise_free_episode(mode):
-    params = ServoParams(noise_sigma=0.0, mode=mode, trials=1)
+    params = ServoParams(noise_sigma=0.0, trials=1)
     assert servo.expected_error(params, mode) == pytest.approx(
-        servo.run_episode(params).mean_error, abs=1e-12
+        servo.run_episode(params, mode).mean_error, abs=1e-12
     )
 
 
@@ -376,6 +372,16 @@ def test_expected_error_matches_experiment_within_monte_carlo_error():
 def test_expected_error_rejects_unknown_mode():
     with pytest.raises(ValueError):
         servo.expected_error(ServoParams(), "sideways")
+
+
+def test_hierarchy_and_experiment_reject_unknown_mode(monkeypatch):
+    with pytest.raises(ValueError, match="unknown mode 'sideways'"):
+        servo.build_servo_hierarchy(ServoParams(), "sideways")
+    drawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed))
+    with pytest.raises(ValueError, match="unknown mode 'sideways'"):
+        servo.run_experiment(ServoParams(trials=2), modes=("context", "sideways"))
+    assert drawn == []  # refused before any trial generator is seeded
 
 
 def test_single_mode_experiment_has_no_reduction():
@@ -410,7 +416,7 @@ def test_summary_document_rounds_to_twelve_significant_digits():
         servo.ExperimentSummary(
             per_mode={"context": servo.ModeStats(mean=1.0 / 3.0, std=0.0, n=1)},
             reduction_percent=None,
-            rows=(),
+            errors={"context": (1.0 / 3.0,)},
         )
     )
     assert doc["context"]["mean"] == 0.333333333333

@@ -3,8 +3,9 @@
 Trees are drawn with a dimension per processor, so a conditional matrix is
 (parent n, n) and not square. The mutation properties replace one field of
 a valid document with a value from a fixed bad set and run the CLI on it:
-the exit code must be 0, 1 or 2, no exception may escape, and an input
-error (exit 2) must be one line on stderr.
+the exit code must be 0, 1 or 2, no exception may escape, an input error
+(exit 2) must be one line on stderr, and ``bp`` must not refuse as input a
+tree that ``validate`` accepts.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import io
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coghier import bp, documents
@@ -22,7 +23,8 @@ MISSING = object()  # the field is deleted instead of replaced
 BAD_VALUES = (
     MISSING, None, True, 0, -1, 1, 1.5, 1e12, 10**400, float("nan"), float("inf"), "", "x",
     [], {}, [1], [0, 0], [-1.0, 2.0], ["a", "b"], [[0.5, 0.5]], [None], [True, False],
-    [10**400, 1], [float("nan"), 1.0], "N1", "P0",  # the last two repeat a processor id
+    [10**400, 1], [float("nan"), 1.0], "N1", "P0",  # these two repeat a processor id
+    bp.WORLD_ID, [1e308, 1e308], [5e-324, 5e-324],  # world id, overflowing and underflowing sums
 )
 TREE_FIELDS = ("id", "n", "parent", "matrix", "prior", "external_input")
 
@@ -67,6 +69,7 @@ def assert_exits_cleanly(argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert len(err.splitlines()) == 1, err
+    return code
 
 
 def mutated(doc, record, field, value):
@@ -98,14 +101,18 @@ def test_mixed_dimension_tree_documents_round_trip(tmp_path_factory, tree):
     field=st.sampled_from(TREE_FIELDS),
     value=st.sampled_from(BAD_VALUES),
 )
+# the defects found by hand: a leaf named as the world, and a root prior whose sum overflows
+@example(tree=bp.thecat_tree(), index=1, field="id", value=bp.WORLD_ID)
+@example(tree=bp.thecat_tree(), index=0, field="prior", value=[1e308, 1e308])
 def test_mutated_tree_documents_exit_cleanly(tmp_path_factory, tree, index, field, value):
     base = bp.tree_to_document(tree)
     index %= len(base["processors"])
     doc = mutated(base, lambda d: d["processors"][index], field, value)
     path = tmp_path_factory.getbasetemp() / "mutated-tree.json"
     path.write_text(json.dumps(doc))
-    for command in ("validate", "bp"):
-        assert_exits_cleanly([command, str(path)])
+    validated, propagated = (assert_exits_cleanly([cmd, str(path)]) for cmd in ("validate", "bp"))
+    if validated == 0:
+        assert propagated != 2, "bp refused a tree that validate accepts"
 
 
 @given(
