@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Any, Mapping
 
 import numpy as np
@@ -70,7 +71,6 @@ class Processor:
     id: str
     feature_dim: int
     parent: str | None = None
-    children: tuple[str, ...] = ()
     cond_matrix: np.ndarray | None = None
     causal: np.ndarray | None = None
     external_input: np.ndarray | None = None
@@ -89,40 +89,51 @@ class Processor:
 
 @dataclass(frozen=True)
 class CausalTree:
+    """Processors and the root; each processor's ``parent`` link is the tree's only shape."""
+
     processors: Mapping[str, Processor]
     root: str
 
+    @cached_property
+    def children(self) -> dict[str, tuple[str, ...]]:
+        """Each processor's children: the non-root processors whose parent names it, in order."""
+        kids: dict[str, list[str]] = {pid: [] for pid in self.processors}
+        for pid, p in self.processors.items():
+            if pid != self.root and p.parent in kids:
+                kids[p.parent].append(pid)
+        return {pid: tuple(ids) for pid, ids in kids.items()}
+
     def topological_ids(self) -> tuple[str, ...]:
-        """Parents before children; ``ValueError`` if a processor is reached twice."""
+        """The processors reachable from the root, depth first, parents before children.
+
+        Each processor has at most one parent and the root has none, so the
+        walk meets no processor twice: one whose parent chain misses the root
+        (a dangling or cyclic link) is simply not visited.
+        """
         order: list[str] = []
-        seen: set[str] = set()
         stack = [self.root]
         while stack:
             pid = stack.pop()
-            if pid in seen:
-                raise ValueError(f"processor {pid!r} reached twice")
-            seen.add(pid)
             order.append(pid)
-            stack.extend(reversed(self.processors[pid].children))
+            stack.extend(reversed(self.children[pid]))
         return tuple(order)
 
 
 def tree_violations(tree: CausalTree) -> list[str]:
-    """Structural checks; empty list means the tree is usable."""
+    """Structural checks; empty list means the tree is usable.
+
+    Processors are checked in :meth:`CausalTree.topological_ids` order, each
+    one's matrix against its parent's dimension; then a root parent link and
+    every processor the walk did not reach are reported.
+    """
     bad: list[str] = []
     procs = tree.processors
     if tree.root not in procs:
         return [f"root {tree.root!r} is not a processor"]
     if WORLD_ID in procs:
         bad.append(f"processor id {WORLD_ID!r} is reserved for the world node")
-    seen: set[str] = set()
-    stack = [tree.root]
-    while stack:
-        pid = stack.pop()
-        if pid in seen:
-            bad.append(f"cycle: processor {pid!r} reached twice")
-            continue
-        seen.add(pid)
+    order = tree.topological_ids()
+    for pid in order:
         p = procs[pid]
         if p.feature_dim < 2:
             bad.append(f"{pid!r}: feature_dim must be at least 2")
@@ -136,28 +147,20 @@ def tree_violations(tree: CausalTree) -> list[str]:
                 bad.append(f"{pid!r}: {vec_name} sums to {total}, which is not finite")
             elif needs_support and not total:
                 bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
-        for child in p.children:
-            if child not in procs:
-                bad.append(f"{pid!r} lists unknown child {child!r}")
-                continue
-            c = procs[child]
-            if c.parent != pid:
-                bad.append(f"{child!r}: parent link does not match {pid!r}")
-            if c.cond_matrix is None:
-                bad.append(f"{child!r}: non-root processor without a conditional matrix")
-            else:
-                expected = (p.feature_dim, c.feature_dim)
-                if c.cond_matrix.shape != expected:
-                    bad.append(f"{child!r}: conditional matrix shape {c.cond_matrix.shape}, expected {expected}")
-                elif (np.abs(np.add.reduce(c.cond_matrix, axis=1) - 1.0) > 1e-12).any():
-                    bad.append(f"{child!r}: conditional matrix rows do not sum to 1")
-                elif (c.cond_matrix < 0).any():
-                    bad.append(f"{child!r}: conditional matrix has negative entries")
-            stack.append(child)
+        if pid == tree.root:
+            continue
+        matrix, expected = p.cond_matrix, (procs[p.parent].feature_dim, p.feature_dim)
+        if matrix is None:
+            bad.append(f"{pid!r}: non-root processor without a conditional matrix")
+        elif matrix.shape != expected:
+            bad.append(f"{pid!r}: conditional matrix shape {matrix.shape}, expected {expected}")
+        elif (np.abs(np.add.reduce(matrix, axis=1) - 1.0) > 1e-12).any():
+            bad.append(f"{pid!r}: conditional matrix rows do not sum to 1")
+        elif (matrix < 0).any():
+            bad.append(f"{pid!r}: conditional matrix has negative entries")
     if procs[tree.root].parent is not None:
         bad.append(f"root {tree.root!r} has a parent link")
-    orphans = set(procs) - seen
-    for pid in sorted(orphans):
+    for pid in sorted(set(procs) - set(order)):
         bad.append(f"processor {pid!r} is not reachable from the root")
     return bad
 
@@ -188,39 +191,36 @@ def bp_propagate(tree: CausalTree) -> BeliefTable:
     the matrix-mapped diagnostics of its children. Downward: each child
     receives the product of its parent's external input, sibling messages
     and causal support, carried through its own conditional matrix. Belief
-    is the normalised product of total diagnostic and causal support.
+    is the normalised product of total diagnostic and causal support. Each
+    external input is normalised once, as the embedding's sensing edges do,
+    so subnormal evidence does not underflow to a zero product.
     """
-    procs = tree.processors
+    procs, children = tree.processors, tree.children
     order = tree.topological_ids()
 
+    def unit(vec: np.ndarray) -> np.ndarray:
+        normed = _normalize(vec)
+        return vec if normed is None else normed
+
+    evidence = {pid: unit(procs[pid].external_input) for pid in order}
     up_msg: dict[str, np.ndarray] = {}
     lam: dict[str, np.ndarray] = {}
     for pid in reversed(order):
-        p = procs[pid]
-        total = p.external_input.copy()
-        for child in p.children:
+        total = evidence[pid]
+        for child in children[pid]:
             total = total * up_msg[child]
         lam[pid] = total
-        if p.parent is not None:
-            msg = procs[pid].cond_matrix @ total
-            normed = _normalize(msg)
-            up_msg[pid] = msg if normed is None else normed
+        if pid != tree.root:
+            up_msg[pid] = unit(procs[pid].cond_matrix @ total)
 
-    causal_in: dict[str, np.ndarray] = {}
-    root_prior = _normalize(procs[tree.root].causal)
-    causal_in[tree.root] = (
-        procs[tree.root].causal if root_prior is None else root_prior
-    )
+    causal_in = {tree.root: unit(procs[tree.root].causal)}
     for pid in order:
-        p = procs[pid]
-        for child in p.children:
-            others = p.external_input * causal_in[pid]
-            for sibling in p.children:
+        for child in children[pid]:
+            others = evidence[pid] * causal_in[pid]
+            for sibling in children[pid]:
                 if sibling != child:
                     others = others * up_msg[sibling]
-            msg = others @ procs[child].cond_matrix
-            normed = _normalize(msg)
-            causal_in[child] = msg if normed is None else normed
+            causal_in[child] = unit(others @ procs[child].cond_matrix)
 
     beliefs: dict[str, np.ndarray] = {}
     degenerate: set[str] = set()
@@ -269,9 +269,9 @@ def encode(tree: CausalTree) -> Hierarchy:
 
     for pid, p in procs.items():
         obs_tag = spaces[pid].observation_space
-        nodes.append(_processor_node(p, len(p.children), spaces[pid]))
+        nodes.append(_processor_node(p, len(tree.children[pid]), spaces[pid]))
         edges.append(EdgeTriple(WORLD_ID, pid, _external_sensing_fn(p, obs_tag)))
-        for k, child_id in enumerate(p.children, start=1):
+        for k, child_id in enumerate(tree.children[pid], start=1):
             child = procs[child_id]
             edges.append(
                 EdgeTriple(
@@ -374,6 +374,7 @@ class EquivalenceReport:
     tolerance: float = 1e-9
     degenerate: tuple[str, ...] = ()
     detail: str = ""
+    reference: Mapping[str, np.ndarray] = field(default_factory=dict)  # bp_propagate's beliefs
 
 
 def _unmoved(before: list, after: list) -> bool:
@@ -390,14 +391,15 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
     Pearl's two passes are one tick, so the second tick must leave every slot
     and causal vector within 1e-12 of where the first put it, or the check
     fails with no fixpoint after 2 ticks and no deviation measured (``inf``).
-    The reference beliefs come from :func:`bp_propagate`. An ill-formed tree
-    raises ``ValueError`` from :func:`encode` before either side walks it.
+    The reference beliefs come from :func:`bp_propagate`, and every report
+    carries them as ``reference``. An ill-formed tree raises ``ValueError``
+    from :func:`encode` before either side walks it.
     """
     hierarchy = encode(tree)
     oracle = bp_propagate(tree)
+    report = partial(EquivalenceReport, tolerance=tolerance, reference=oracle.beliefs)
     if oracle.degenerate:
-        return EquivalenceReport(
-            tolerance=tolerance,
+        return report(
             degenerate=tuple(sorted(oracle.degenerate)),
             detail="reference propagation hit contradictory evidence",
         )
@@ -410,16 +412,14 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
             beliefs = [ah.node(pid).belief for pid in tree.processors]
             vectors.append([vec for slots, causal in beliefs for vec in (*slots, causal)])
         if not _unmoved(*vectors):  # an unsettled state has no deviation worth measuring
-            return EquivalenceReport(ticks=2, tolerance=tolerance, detail="no fixpoint after 2 ticks")
+            return report(ticks=2, detail="no fixpoint after 2 ticks")
         deviation = 0.0
         for pid in tree.processors:
             bel = node_belief(ah.node(pid).belief)
             deviation = max(deviation, float(np.max(np.abs(bel - oracle.beliefs[pid]))))
     except DegenerateBeliefError as exc:
-        return EquivalenceReport(
-            ticks=ticks, tolerance=tolerance, degenerate=(str(exc.where),), detail=str(exc)
-        )
-    return EquivalenceReport(deviation < tolerance, deviation, 2, True, tolerance)
+        return report(ticks=ticks, degenerate=(str(exc.where),), detail=str(exc))
+    return report(passed=deviation < tolerance, max_deviation=deviation, ticks=2, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +436,7 @@ def thecat_tree() -> CausalTree:
     """
     eye = np.eye(2)
     procs = {
-        "N4": Processor(
-            id="N4",
-            feature_dim=2,
-            children=("N1", "N2", "N3"),
-            causal=np.array([0.5, 0.5]),
-        ),
+        "N4": Processor(id="N4", feature_dim=2, causal=np.array([0.5, 0.5])),
         "N1": Processor(
             id="N1", feature_dim=2, parent="N4", cond_matrix=eye,
             external_input=np.array([0.0, 1.0]),
@@ -496,14 +491,12 @@ def random_tree(
         n_children = int(rng.integers(0, max_branching + 1)) if depth < max_depth else 0
         matrix = None if parent is None else rand_matrix()
         causal = rand_vec() if parent is None else None
-        external_input = rand_vec()
-        procs[pid] = None  # holds the parent's place ahead of its children
-        children = tuple(build(pid, depth + 1) for _ in range(n_children))
-        procs[pid] = Processor(pid, n, parent, children, matrix, causal, external_input)
+        procs[pid] = Processor(pid, n, parent, matrix, causal, rand_vec())
+        for _ in range(n_children):
+            build(pid, depth + 1)
         return pid
 
-    root = build(None, 0)
-    return CausalTree(processors=procs, root=root)
+    return CausalTree(processors=procs, root=build(None, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +532,6 @@ def tree_from_document(doc: Any) -> CausalTree:
     if not isinstance(records, list) or not records:
         raise ValueError("document must contain a non-empty 'processors' list")
     dims: dict[str, int] = {}
-    children: dict[str, list[str]] = {}
     roots = []
     for rec in records:
         if not isinstance(rec, dict) or "id" not in rec or "n" not in rec:
@@ -556,8 +548,6 @@ def tree_from_document(doc: Any) -> CausalTree:
         dims[rec["id"]] = n
         if rec.get("parent") is None:
             roots.append(rec["id"])
-        else:
-            children.setdefault(rec["parent"], []).append(rec["id"])
     if len(roots) != 1:
         raise ValueError(f"document must have exactly one root processor, found {len(roots)}")
 
@@ -576,7 +566,6 @@ def tree_from_document(doc: Any) -> CausalTree:
             id=pid,
             feature_dim=n,
             parent=parent,
-            children=tuple(children.get(pid, ())),
             cond_matrix=matrix,
             causal=_numbers(rec, "prior") if parent is None else None,
             external_input=_numbers(rec, "external_input"),

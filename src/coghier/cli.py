@@ -10,6 +10,7 @@ errors. All randomness is seeded through explicit flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -57,8 +58,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_equivalence(name: str, tree: bp.CausalTree, tolerance: float) -> bool:
-    """Check one tree, print its result line(s) and return whether it passed."""
+def _report_equivalence(name: str, tree: bp.CausalTree, tolerance: float) -> bp.EquivalenceReport:
+    """Check one tree, print its result line(s) and return its report."""
     report = bp.equivalence_check(tree, tolerance=tolerance)
     status = "PASS" if report.passed else "FAIL"
     extra = f" ({report.detail})" if report.detail else ""
@@ -68,7 +69,7 @@ def _report_equivalence(name: str, tree: bp.CausalTree, tolerance: float) -> boo
     )
     if report.degenerate:
         print(f"{name}: degenerate evidence at {', '.join(report.degenerate)}")
-    return report.passed
+    return report
 
 
 def cmd_bp(args: argparse.Namespace) -> int:
@@ -89,14 +90,13 @@ def cmd_bp(args: argparse.Namespace) -> int:
             print(f"parse error in {args.path}: {exc}", file=sys.stderr)
             return 2
         try:
-            passed = _report_equivalence(os.path.basename(args.path), tree, args.tolerance)
+            report = _report_equivalence(os.path.basename(args.path), tree, args.tolerance)
         except ValueError as exc:
             print(f"invalid tree in {args.path}: {exc}", file=sys.stderr)
             return 2
-        table = bp.bp_propagate(tree)
-        for pid in sorted(table.beliefs):
-            print(f"BEL({pid}) = {_fmt_vector(table.beliefs[pid])}")
-        return 0 if passed else 1
+        for pid in sorted(report.reference):
+            print(f"BEL({pid}) = {_fmt_vector(report.reference[pid])}")
+        return 0 if report.passed else 1
 
     # Each tree is checked as soon as it is drawn, so only one is held at a time.
     rng = np.random.default_rng(args.seed)
@@ -107,21 +107,15 @@ def cmd_bp(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad parameters: {exc}", file=sys.stderr)
             return 2
-        all_passed = _report_equivalence(f"tree-{i:03d}", tree, args.tolerance) and all_passed
+        report = _report_equivalence(f"tree-{i:03d}", tree, args.tolerance)
+        all_passed = report.passed and all_passed
     return 0 if all_passed else 1
 
 
 def cmd_servo(args: argparse.Namespace) -> int:
     try:
-        params = servo.ServoParams(
-            accel=args.accel,
-            dt=args.dt,
-            duration=args.duration,
-            noise_sigma=args.noise_sigma,
-            kalman_gain=args.gain,
-            seed=args.seed,
-            trials=args.trials,
-        )
+        fields = dataclasses.fields(servo.ServoParams)
+        params = servo.ServoParams(**{f.name: getattr(args, f.name) for f in fields})
         modes = servo.MODES if args.mode == "both" else (args.mode,)
         summary = servo.run_experiment(params, modes=modes)
     except ValueError as exc:
@@ -188,13 +182,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bp.set_defaults(func=cmd_bp)
 
     p_servo = sub.add_parser("servo", help="run the camera-tracking experiment")
-    p_servo.add_argument("--accel", type=float, default=8.49)
-    p_servo.add_argument("--dt", type=float, default=0.05)
-    p_servo.add_argument("--duration", type=float, default=3.0)
-    p_servo.add_argument("--noise-sigma", type=float, default=0.1)
-    p_servo.add_argument("--gain", type=float, default=0.25)
-    p_servo.add_argument("--seed", type=int, default=42)
-    p_servo.add_argument("--trials", type=int, default=100)
+    defaults = servo.ServoParams()
+    p_servo.add_argument("--accel", type=float, default=defaults.accel)
+    p_servo.add_argument("--dt", type=float, default=defaults.dt)
+    p_servo.add_argument("--duration", type=float, default=defaults.duration)
+    p_servo.add_argument("--noise-sigma", type=float, default=defaults.noise_sigma)
+    p_servo.add_argument(
+        "--gain", type=float, default=defaults.kalman_gain, dest="kalman_gain", metavar="GAIN"
+    )
+    p_servo.add_argument("--seed", type=int, default=defaults.seed)
+    p_servo.add_argument("--trials", type=int, default=defaults.trials)
     p_servo.add_argument(
         "--mode", choices=("both",) + servo.MODES, default="both", help="which arm(s) to run"
     )

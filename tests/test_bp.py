@@ -1,5 +1,6 @@
 """Tree propagation vs brute-force enumeration, and the hierarchy embedding."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coghier import bp, kernel
@@ -19,9 +20,6 @@ from coghier import bp, kernel
 def make_tree(parents, n, rng):
     """Tree from a parent vector (node 0 is the root), random fills."""
     ids = [f"P{i}" for i in range(len(parents) + 1)]
-    children = {pid: [] for pid in ids}
-    for i, par in enumerate(parents, start=1):
-        children[ids[par]].append(ids[i])
 
     def rand_matrix():
         m = rng.uniform(0.05, 1.0, (n, n))
@@ -34,7 +32,6 @@ def make_tree(parents, n, rng):
             id=pid,
             feature_dim=n,
             parent=parent,
-            children=tuple(children[pid]),
             cond_matrix=None if parent is None else rand_matrix(),
             causal=rng.uniform(0.05, 1.0, n) if parent is None else None,
             external_input=rng.uniform(0.05, 1.0, n),
@@ -73,7 +70,7 @@ def test_propagation_matches_enumeration_exhaustively(size, n):
 def test_uniform_everything_gives_uniform_beliefs():
     eye = np.eye(2)
     procs = {
-        "root": bp.Processor(id="root", feature_dim=2, children=("a", "b")),
+        "root": bp.Processor(id="root", feature_dim=2),
         "a": bp.Processor(id="a", feature_dim=2, parent="root", cond_matrix=eye),
         "b": bp.Processor(id="b", feature_dim=2, parent="root", cond_matrix=eye),
     }
@@ -92,7 +89,7 @@ def test_word_demo_beliefs():
 def test_contradictory_evidence_is_degenerate():
     eye = np.eye(2)
     procs = {
-        "root": bp.Processor(id="root", feature_dim=2, children=("a", "b")),
+        "root": bp.Processor(id="root", feature_dim=2),
         "a": bp.Processor(
             id="a", feature_dim=2, parent="root", cond_matrix=eye,
             external_input=np.array([1.0, 0.0]),
@@ -200,11 +197,10 @@ def test_a_fresh_sensing_update_reads_the_childrens_starting_slots():
     slots must be the no-evidence message; a row-stochastic matrix keeps it uniform.
     """
     tree = bp.random_tree(np.random.default_rng(4), max_depth=2)
-    root = tree.processors[tree.root]
-    assert len(root.children) == 3  # a leaf and two children with children of their own
+    assert len(tree.children[tree.root]) == 3  # a leaf and two children with children of their own
     ah = kernel.init_active(bp.encode(tree), bp.initial_world_state(tree))
     slots, _ = kernel.sensing_node_update(ah, tree.root).node(tree.root).belief
-    for k, child_id in enumerate(root.children, start=1):
+    for k, child_id in enumerate(tree.children[tree.root], start=1):
         child = tree.processors[child_id]
         message = child.cond_matrix @ np.full(child.feature_dim, 1.0 / child.feature_dim)
         np.testing.assert_allclose(slots[k], message / message.sum(), rtol=1e-12, atol=0)
@@ -251,7 +247,7 @@ def test_two_level_random_tree_single_tick_matches_oracle():
     m2 = m2 / m2.sum(axis=1, keepdims=True)
     procs = {
         "r": bp.Processor(
-            id="r", feature_dim=n, children=("c1", "c2"),
+            id="r", feature_dim=n,
             causal=rng.uniform(0.05, 1, n), external_input=rng.uniform(0.05, 1, n),
         ),
         "c1": bp.Processor(
@@ -467,7 +463,7 @@ def test_random_tree_draws_are_pinned(seed, depth, digest):
 def test_tree_violations_catch_bad_matrix():
     eye_bad = np.array([[1.0, 0.1], [0.0, 1.0]])
     procs = {
-        "r": bp.Processor(id="r", feature_dim=2, children=("c",)),
+        "r": bp.Processor(id="r", feature_dim=2),
         "c": bp.Processor(id="c", feature_dim=2, parent="r", cond_matrix=eye_bad),
     }
     tree = bp.CausalTree(processors=procs, root="r")
@@ -476,7 +472,7 @@ def test_tree_violations_catch_bad_matrix():
 
 def two_processor_tree(root=None, child=None):
     """Root ``r`` over the leaf ``c`` by an identity matrix; ``root``, ``child`` replace fields."""
-    r = bp.Processor(id="r", feature_dim=2, children=("c",))
+    r = bp.Processor(id="r", feature_dim=2)
     c = bp.Processor(id="c", feature_dim=2, parent="r", cond_matrix=np.eye(2))
     return bp.CausalTree({"r": replace(r, **root or {}), "c": replace(c, **child or {})}, "r")
 
@@ -490,8 +486,8 @@ def two_processor_tree(root=None, child=None):
             "'c': conditional matrix shape (3, 3), expected (2, 2)",
         ),
         (None, {"cond_matrix": [[1.5, -0.5], [0, 1]]}, "'c': conditional matrix has negative entries"),
-        ({"children": ("c", "ghost")}, None, "'r' lists unknown child 'ghost'"),
-        (None, {"parent": "x"}, "'c': parent link does not match 'r'"),
+        (None, {"parent": "x"}, "processor 'c' is not reachable from the root"),
+        (None, {"cond_matrix": None}, "'c': non-root processor without a conditional matrix"),
         ({"parent": "c"}, None, "root 'r' has a parent link"),
     ],
 )
@@ -499,16 +495,17 @@ def test_tree_violations_name_each_structural_fault(root, child, violation):
     assert bp.tree_violations(two_processor_tree(root, child)) == [violation]
 
 
-def without_n2():
-    """The word/letter tree with ``N2`` deleted while ``N4`` still lists it."""
+def n1_under_an_absent_parent():
+    """The word/letter tree whose ``N1`` names a parent that is not a processor."""
     tree = bp.thecat_tree()
-    return replace(tree, processors={pid: p for pid, p in tree.processors.items() if pid != "N2"})
+    n1 = replace(tree.processors["N1"], parent="N9")
+    return replace(tree, processors={**tree.processors, "N1": n1})
 
 
 @pytest.mark.parametrize(
     "tree, violation",
     [
-        (without_n2(), "'N4' lists unknown child 'N2'"),
+        (n1_under_an_absent_parent(), "processor 'N1' is not reachable from the root"),
         (replace(bp.thecat_tree(), root="X"), "root 'X' is not a processor"),
     ],
 )
@@ -517,30 +514,82 @@ def test_equivalence_check_refuses_an_ill_formed_tree_before_walking_it(tree, vi
         bp.equivalence_check(tree)
 
 
+@contextlib.contextmanager
+def within_a_second():
+    """Raise ``TimeoutError`` in the block if it runs for more than a second."""
+
+    def give_up(_signum, _frame):
+        raise TimeoutError("walked for a second")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(1)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize(
     "walk", [bp.CausalTree.topological_ids, bp.bp_propagate, bp.tree_to_document]
 )
 def test_a_cyclic_mapping_is_refused_rather_than_walked_forever(walk):
     eye = np.eye(2)
     procs = {
-        "r": bp.Processor(id="r", feature_dim=2, children=("a",)),
-        "a": bp.Processor(id="a", feature_dim=2, parent="r", children=("b",), cond_matrix=eye),
-        "b": bp.Processor(id="b", feature_dim=2, parent="a", children=("a",), cond_matrix=eye),
+        "r": bp.Processor(id="r", feature_dim=2),
+        "a": bp.Processor(id="a", feature_dim=2, parent="b", cond_matrix=eye),
+        "b": bp.Processor(id="b", feature_dim=2, parent="a", cond_matrix=eye),
     }
     tree = bp.CausalTree(processors=procs, root="r")
-    assert "cycle: processor 'a' reached twice" in bp.tree_violations(tree)
+    assert bp.tree_violations(tree) == [
+        "processor 'a' is not reachable from the root",
+        "processor 'b' is not reachable from the root",
+    ]
+    with within_a_second():
+        walk(tree)
 
-    def give_up(_signum, _frame):
-        raise TimeoutError("walked the cycle for a second")
 
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(1)
-    try:
-        with pytest.raises(ValueError, match="processor 'a' reached twice"):
-            walk(tree)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+PARENT_MAP_IDS = ("P0", "P1", "P2", "P3", "P4", "P5")
+
+
+@settings(max_examples=300)
+@given(
+    parents=st.lists(
+        st.sampled_from(PARENT_MAP_IDS + (None, "ghost")), min_size=1, max_size=len(PARENT_MAP_IDS)
+    ),
+    root=st.integers(0, len(PARENT_MAP_IDS) - 1),
+)
+def test_children_and_the_one_walk_follow_arbitrary_parent_links(parents, root):
+    """Any parent map, dangling and cyclic links included: one walk, each processor once."""
+    ids = PARENT_MAP_IDS[: len(parents)]
+    root = ids[root % len(ids)]
+    eye = np.eye(2)
+    procs = {
+        pid: bp.Processor(pid, 2, parent, cond_matrix=None if pid == root else eye)
+        for pid, parent in zip(ids, parents)
+    }
+    tree = bp.CausalTree(processors=procs, root=root)
+    with within_a_second():
+        order = tree.topological_ids()
+        violations = bp.tree_violations(tree)
+    assert order[0] == root and len(order) == len(set(order)) and set(order) <= set(ids)
+
+    def reaches_root(pid):
+        seen = set()
+        while pid != root and pid in procs and pid not in seen:
+            seen.add(pid)
+            pid = procs[pid].parent
+        return pid == root
+
+    for pid in ids:
+        unreachable = f"processor {pid!r} is not reachable from the root" in violations
+        assert unreachable == (not reaches_root(pid)) == (pid not in order)
+
+    assert list(tree.children) == list(ids)
+    for pid in ids:
+        assert tree.children[pid] == tuple(
+            c for c in ids if c != root and procs[c].parent == pid
+        )
 
 
 def test_beliefs_document_is_json_ready():

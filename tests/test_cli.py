@@ -238,6 +238,31 @@ def test_bp_contradictory_evidence_fails_and_names_the_degenerate_processors(tmp
     assert err == ""
 
 
+def test_bp_document_propagates_the_tree_once(thecat_tree_doc, monkeypatch, capsys):
+    """The printed beliefs are the equivalence check's reference, not a second propagation."""
+    calls = []
+    propagate = bp.bp_propagate
+    monkeypatch.setattr(bp, "bp_propagate", lambda tree: calls.append(tree) or propagate(tree))
+    assert main(["bp", thecat_tree_doc]) == 0
+    assert len(calls) == 1
+    assert "BEL(N4) = [0, 1]" in capsys.readouterr().out
+
+
+def test_subnormal_root_evidence_is_not_contradictory(tmp_path, capsys):
+    """Uniform evidence of subnormal size is still uniform once normalised."""
+    doc = bp.tree_to_document(bp.thecat_tree())
+    set_field("N4", "external_input", [5e-324, 5e-324])(doc)
+    path = write_json(tmp_path / "subnormal.json", doc)
+    assert main(["validate", path]) == 0
+    assert main(["bp", path]) == 0
+    out, err = capsys.readouterr()
+    assert "subnormal.json: PASS nodes=4 max_deviation=0.000e+00 ticks=2" in out
+    assert [line for line in out.splitlines() if line.startswith("BEL")] == [
+        f"BEL(N{k}) = [0, 1]" for k in range(1, 5)
+    ]
+    assert err == ""
+
+
 def test_bp_random_suite_passes(capsys):
     assert main(["bp", "--random", "10", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -385,6 +410,31 @@ def test_servo_deterministic_without_noise(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "flag, field, value",
+    [
+        ("--accel", "accel", 2.5),
+        ("--dt", "dt", 0.1),
+        ("--duration", "duration", 2.0),
+        ("--noise-sigma", "noise_sigma", 0.3),
+        ("--gain", "kalman_gain", 0.5),
+        ("--seed", "seed", 9),
+        ("--trials", "trials", 3),
+    ],
+)
+def test_each_servo_flag_reaches_its_parameter(monkeypatch, capsys, flag, field, value):
+    """Every other parameter keeps its ``ServoParams`` default."""
+    seen = []
+
+    def run_experiment(params, modes):
+        seen.append(params)
+        raise ValueError("stopped before running")
+
+    monkeypatch.setattr(servo, "run_experiment", run_experiment)
+    assert_one_line_input_error(["servo", flag, str(value)], capsys, "bad parameters: stopped")
+    assert seen == [servo.ServoParams(**{field: value})]
 
 
 def test_servo_bad_params_are_input_errors(capsys):

@@ -48,7 +48,6 @@ def mixed_dimension_trees(draw, max_nodes=6):
             id=pid,
             feature_dim=dims[i],
             parent=None if parent is None else ids[parent],
-            children=tuple(ids[j] for j in range(1, size) if parents[j - 1] == i),
             cond_matrix=matrix,
             causal=rng.uniform(0.05, 1.0, dims[i]) if parent is None else None,
             external_input=rng.uniform(0.05, 1.0, dims[i]),
@@ -88,6 +87,7 @@ def test_mixed_dimension_tree_documents_round_trip(tmp_path_factory, tree):
     text = json.dumps(doc)
     back = bp.tree_from_document(json.loads(text))
     assert bp.tree_to_document(back) == doc
+    assert back.children == tree.children
     assert bp.equivalence_check(back).passed
     path = tmp_path_factory.getbasetemp() / "mixed.json"
     path.write_text(text)
