@@ -1,57 +1,3 @@
 """Cognitive-hierarchy engine with a causal-tree embedding and a tracking demo."""
 
-from .kernel import (
-    ActiveHierarchy,
-    ActiveNode,
-    CognitiveNodeSpec,
-    EdgeTriple,
-    Hierarchy,
-    InvalidHierarchyError,
-    KernelError,
-    NodeValueSpaces,
-    OperatorError,
-    Tagged,
-    TagMismatchError,
-    ValidationReport,
-    Violation,
-    canonical_topological_order,
-    default_spaces,
-    emit_nothing,
-    init_active,
-    make_world_node_spec,
-    prediction_node_update,
-    prediction_process_update,
-    process_update,
-    sensing_node_update,
-    sensing_process_update,
-    validate,
-)
-
-__all__ = [
-    "ActiveHierarchy",
-    "ActiveNode",
-    "CognitiveNodeSpec",
-    "EdgeTriple",
-    "Hierarchy",
-    "InvalidHierarchyError",
-    "KernelError",
-    "NodeValueSpaces",
-    "OperatorError",
-    "Tagged",
-    "TagMismatchError",
-    "ValidationReport",
-    "Violation",
-    "canonical_topological_order",
-    "default_spaces",
-    "emit_nothing",
-    "init_active",
-    "make_world_node_spec",
-    "prediction_node_update",
-    "prediction_process_update",
-    "process_update",
-    "sensing_node_update",
-    "sensing_process_update",
-    "validate",
-]
-
 __version__ = "0.1.0"

@@ -154,7 +154,7 @@ def tree_violations(tree: CausalTree) -> list[str]:
             bad.append(f"{pid!r}: non-root processor without a conditional matrix")
         elif matrix.shape != expected:
             bad.append(f"{pid!r}: conditional matrix shape {matrix.shape}, expected {expected}")
-        elif (np.abs(np.add.reduce(matrix, axis=1) - 1.0) > 1e-12).any():
+        elif not (np.abs(np.add.reduce(matrix, axis=1) - 1.0) <= 1e-12).all():  # NaN fails too
             bad.append(f"{pid!r}: conditional matrix rows do not sum to 1")
         elif (matrix < 0).any():
             bad.append(f"{pid!r}: conditional matrix has negative entries")

@@ -112,6 +112,11 @@ def cmd_bp(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+def _fmt_stat(x: float, digits: int) -> str:
+    """Fixed point, or exponent form from 1e15 up, so a huge result prints on a short line."""
+    return f"{x:.{digits}{'e' if abs(x) >= 1e15 else 'f'}}"
+
+
 def cmd_servo(args: argparse.Namespace) -> int:
     try:
         fields = dataclasses.fields(servo.ServoParams)
@@ -133,9 +138,9 @@ def cmd_servo(args: argparse.Namespace) -> int:
 
     for mode in modes:
         stats = summary.per_mode[mode]
-        print(f"{mode}: mean={stats.mean:.6f} std={stats.std:.6f} n={stats.n}")
+        print(f"{mode}: mean={_fmt_stat(stats.mean, 6)} std={_fmt_stat(stats.std, 6)} n={stats.n}")
     if summary.reduction_percent is not None:
-        print(f"reduction: {summary.reduction_percent:.2f}%")
+        print(f"reduction: {_fmt_stat(summary.reduction_percent, 2)}%")
 
     if len(modes) < 2:
         return 0
@@ -182,16 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bp.set_defaults(func=cmd_bp)
 
     p_servo = sub.add_parser("servo", help="run the camera-tracking experiment")
-    defaults = servo.ServoParams()
-    p_servo.add_argument("--accel", type=float, default=defaults.accel)
-    p_servo.add_argument("--dt", type=float, default=defaults.dt)
-    p_servo.add_argument("--duration", type=float, default=defaults.duration)
-    p_servo.add_argument("--noise-sigma", type=float, default=defaults.noise_sigma)
-    p_servo.add_argument(
-        "--gain", type=float, default=defaults.kalman_gain, dest="kalman_gain", metavar="GAIN"
-    )
-    p_servo.add_argument("--seed", type=int, default=defaults.seed)
-    p_servo.add_argument("--trials", type=int, default=defaults.trials)
+    for f in dataclasses.fields(servo.ServoParams):  # one flag per field; cmd_servo reads them back
+        flag = "gain" if f.name == "kalman_gain" else f.name.replace("_", "-")
+        metavar = flag.upper().replace("-", "_")
+        p_servo.add_argument(
+            f"--{flag}", type=type(f.default), default=f.default, dest=f.name, metavar=metavar
+        )
     p_servo.add_argument(
         "--mode", choices=("both",) + servo.MODES, default="both", help="which arm(s) to run"
     )

@@ -495,6 +495,16 @@ def test_tree_violations_name_each_structural_fault(root, child, violation):
     assert bp.tree_violations(two_processor_tree(root, child)) == [violation]
 
 
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0]])
+def test_a_conditional_matrix_row_that_holds_nan_does_not_sum_to_1(row):
+    """A NaN row sum compares false both ways, so the check must pass only on a true ``<=``."""
+    tree = two_processor_tree(child={"cond_matrix": np.array([row, [0.0, 1.0]])})
+    violation = "'c': conditional matrix rows do not sum to 1"
+    assert bp.tree_violations(tree) == [violation]
+    with pytest.raises(ValueError, match=re.escape(violation)):
+        bp.equivalence_check(tree)
+
+
 def n1_under_an_absent_parent():
     """The word/letter tree whose ``N1`` names a parent that is not a processor."""
     tree = bp.thecat_tree()

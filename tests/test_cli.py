@@ -1,10 +1,15 @@
 """Command-line behaviour: exit codes, outputs, determinism."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coghier import bp, documents, servo
 from coghier.cli import build_parser, main
@@ -473,3 +478,77 @@ def test_servo_summary_that_overflows_is_input_error(capsys):
     """Each trial's error is finite here, but the sum over 100 trials is not."""
     argv = ["servo", "--trials", "100", "--accel", "1e307"]
     assert_one_line_input_error(argv, capsys, "bad parameters: the no_context run overflows")
+
+
+def test_servo_prints_a_huge_result_in_exponent_form(capsys):
+    """Fixed point would print all 300 integer digits of each mean."""
+    assert main(["servo", "--accel", "1e300", "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("no_context: mean=2.038125e+299 std=0.000000 n=2\n")
+    assert max(len(line) for line in out.splitlines()) <= 100
+
+
+# ---------------------------------------------------------------------------
+# Whole flag sets drawn from boundary values
+
+EDGES = ["0", "-1", "1", "1e300", "nan", "inf"]
+
+
+def caps(cap):
+    return [str(cap), str(cap + 1)]
+
+
+# --random and --max-branch get no large values: neither has a cap, every random
+# tree is checked in full, and a node with m children costs O(m^2) to check.
+SERVO_FLAGS = {
+    "--accel": EDGES,
+    "--dt": EDGES,
+    "--duration": EDGES + caps(servo.MAX_STEPS),
+    "--noise-sigma": EDGES,
+    "--gain": EDGES,
+    "--seed": EDGES,
+    "--trials": EDGES + caps(servo.MAX_TRIALS),
+    "--mode": ["both", *servo.MODES],
+}
+BP_FLAGS = {
+    "--random": EDGES,
+    "--seed": EDGES,
+    "--tolerance": EDGES,
+    "--max-depth": EDGES + caps(bp.MAX_RANDOM_DEPTH),
+    "--max-branch": EDGES,
+    "--max-dim": EDGES + caps(bp.MAX_FEATURE_DIM),
+}
+
+
+def flag_sets(command, values):
+    """``command`` with each flag left at its default or set to one of its values."""
+    optional = {flag: st.sampled_from(choices) for flag, choices in values.items()}
+    chosen = st.fixed_dictionaries({}, optional=optional)
+    return chosen.map(lambda flags: [command, *itertools.chain.from_iterable(flags.items())])
+
+
+def short_enough(argv):
+    """Leaves out ``--dt 1 --duration MAX_STEPS``: 100,000 ticks a mode take seconds."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    return (flags.get("--dt"), flags.get("--duration")) != ("1", str(servo.MAX_STEPS))
+
+
+@settings(derandomize=True, max_examples=200)
+@example(argv=["servo", "--accel", "1e300", "--trials", "2"])
+@given(
+    argv=st.one_of(
+        flag_sets("servo", SERVO_FLAGS).filter(short_enough), flag_sets("bp", BP_FLAGS)
+    )
+)
+def test_whole_flag_sets_keep_the_exit_contract(argv):
+    """Exit 0, 1 or 2 and never an exception; one stderr line on 2; no nan; short servo lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert not re.search(r"\bnan\b", out.getvalue() + err.getvalue(), re.IGNORECASE)
+    if argv[0] == "servo":
+        assert all(len(line) <= 100 for line in out.getvalue().splitlines())
