@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Any, Mapping
 
 import numpy as np
@@ -133,31 +133,34 @@ def tree_violations(tree: CausalTree) -> list[str]:
     if WORLD_ID in procs:
         bad.append(f"processor id {WORLD_ID!r} is reserved for the world node")
     order = tree.topological_ids()
-    for pid in order:
-        p = procs[pid]
-        if p.feature_dim < 2:
-            bad.append(f"{pid!r}: feature_dim must be at least 2")
-        for vec_name, needs_support in (("causal", pid == tree.root), ("external_input", True)):
-            vec = getattr(p, vec_name)
-            if vec.shape != (p.feature_dim,):
-                bad.append(f"{pid!r}: {vec_name} has shape {vec.shape}, expected ({p.feature_dim},)")
-            elif (vec < 0).any():
-                bad.append(f"{pid!r}: {vec_name} has negative entries")
-            elif not math.isfinite(total := sum(vec.tolist())):  # inf on overflow, yet no warning
-                bad.append(f"{pid!r}: {vec_name} sums to {total}, which is not finite")
-            elif needs_support and not total:
-                bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
-        if pid == tree.root:
-            continue
-        matrix, expected = p.cond_matrix, (procs[p.parent].feature_dim, p.feature_dim)
-        if matrix is None:
-            bad.append(f"{pid!r}: non-root processor without a conditional matrix")
-        elif matrix.shape != expected:
-            bad.append(f"{pid!r}: conditional matrix shape {matrix.shape}, expected {expected}")
-        elif not (np.abs(np.add.reduce(matrix, axis=1) - 1.0) <= 1e-12).all():  # NaN fails too
-            bad.append(f"{pid!r}: conditional matrix rows do not sum to 1")
-        elif (matrix < 0).any():
-            bad.append(f"{pid!r}: conditional matrix has negative entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # a row of 1e308s or of inf and -inf
+        for pid in order:
+            p = procs[pid]
+            if p.feature_dim < 2:
+                bad.append(f"{pid!r}: feature_dim must be at least 2")
+            for vec_name, needs_support in (("causal", pid == tree.root), ("external_input", True)):
+                vec = getattr(p, vec_name)
+                if vec.shape != (p.feature_dim,):
+                    bad.append(
+                        f"{pid!r}: {vec_name} has shape {vec.shape}, expected ({p.feature_dim},)"
+                    )
+                elif (vec < 0).any():
+                    bad.append(f"{pid!r}: {vec_name} has negative entries")
+                elif not math.isfinite(total := sum(vec.tolist())):  # inf on overflow
+                    bad.append(f"{pid!r}: {vec_name} sums to {total}, which is not finite")
+                elif needs_support and not total:
+                    bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
+            if pid == tree.root:
+                continue
+            matrix, expected = p.cond_matrix, (procs[p.parent].feature_dim, p.feature_dim)
+            if matrix is None:
+                bad.append(f"{pid!r}: non-root processor without a conditional matrix")
+            elif matrix.shape != expected:
+                bad.append(f"{pid!r}: conditional matrix shape {matrix.shape}, expected {expected}")
+            elif not (np.abs(np.add.reduce(matrix, axis=1) - 1.0) <= 1e-12).all():  # NaN fails too
+                bad.append(f"{pid!r}: conditional matrix rows do not sum to 1")
+            elif (matrix < 0).any():
+                bad.append(f"{pid!r}: conditional matrix has negative entries")
     if procs[tree.root].parent is not None:
         bad.append(f"root {tree.root!r} has a parent link")
     for pid in sorted(set(procs) - set(order)):
@@ -177,8 +180,20 @@ class BeliefTable:
     degenerate: frozenset[str] = frozenset()
 
 
+@cache
+def _ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones, built once per length.
+
+    All :data:`MAX_FEATURE_DIM` lengths a document or random tree may have take about 4 MiB.
+    """
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def _normalize(vec: np.ndarray) -> np.ndarray | None:
-    total = float(np.add.reduce(vec, axis=None))  # what vec.sum() reduces, minus its Python wrapper
+    # One BLAS dot: on vectors of a few entries numpy's reduction machinery costs more than the sum.
+    total = float(vec.dot(_ones(vec.shape[0])))
     if total <= 0.0:
         return None
     return vec / total
@@ -211,7 +226,7 @@ def bp_propagate(tree: CausalTree) -> BeliefTable:
             total = total * up_msg[child]
         lam[pid] = total
         if pid != tree.root:
-            up_msg[pid] = unit(procs[pid].cond_matrix @ total)
+            up_msg[pid] = unit(procs[pid].cond_matrix.dot(total))
 
     causal_in = {tree.root: unit(procs[tree.root].causal)}
     for pid in order:
@@ -220,7 +235,7 @@ def bp_propagate(tree: CausalTree) -> BeliefTable:
             for sibling in children[pid]:
                 if sibling != child:
                     others = others * up_msg[sibling]
-            causal_in[child] = unit(others @ procs[child].cond_matrix)
+            causal_in[child] = unit(others.dot(procs[child].cond_matrix))
 
     beliefs: dict[str, np.ndarray] = {}
     degenerate: set[str] = set()
@@ -240,7 +255,7 @@ def bp_propagate(tree: CausalTree) -> BeliefTable:
 def node_belief(belief_state: tuple) -> np.ndarray:
     """Normalised product of the causal support and all diagnostic slots."""
     slots, causal = belief_state
-    total = np.array(causal, dtype=float)
+    total = np.asarray(causal, dtype=float)
     for slot in slots:
         total = total * np.asarray(slot, dtype=float)
     normed = _normalize(total)
@@ -329,10 +344,10 @@ def _child_sensing_fn(obs_tag: str, k: int, child: Processor):
 
     def sensing(belief: tuple) -> tuple[Tagged, ...]:
         slots, _causal = belief
-        prod = slots[0].copy()
+        prod = slots[0]
         for slot in slots[1:]:
             prod = prod * slot
-        msg = _normalize(matrix @ prod)
+        msg = _normalize(matrix.dot(prod))
         if msg is None:
             raise DegenerateBeliefError(f"upward message from {child.id!r}")
         return (Tagged(obs_tag, (k, msg)),)
@@ -345,11 +360,11 @@ def _context_fn(ctx_tag: str, k: int, child: Processor):
 
     def context(belief: tuple) -> tuple[Tagged, ...]:
         slots, causal = belief
-        prod = causal.copy()
+        prod = causal
         for i, slot in enumerate(slots):
             if i != k:
                 prod = prod * slot
-        msg = _normalize(prod @ matrix)
+        msg = _normalize(prod.dot(matrix))
         if msg is None:
             raise DegenerateBeliefError(f"context for {child.id!r}")
         return (Tagged(ctx_tag, msg),)

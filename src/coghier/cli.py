@@ -4,7 +4,8 @@ Subcommands: ``validate`` checks a hierarchy or causal-tree document,
 ``bp`` runs the tree-versus-hierarchy equivalence suite, ``servo`` runs the
 tracking experiment. Exit codes: 0 success, 1 semantic failure (validation
 violations, equivalence failures, missing context dominance), 2 input
-errors. All randomness is seeded through explicit flags.
+errors; the console script exits 141 when its reader closes stdout early.
+All randomness is seeded through explicit flags.
 """
 
 from __future__ import annotations
@@ -220,5 +221,20 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def console_main() -> int:
+    """The ``coghier`` script: :func:`main`, or exit 141 once its reader closes stdout.
+
+    As the Python docs advise for SIGPIPE, stdout then points at the null
+    device, so the interpreter's last flush at exit cannot raise again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ended
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

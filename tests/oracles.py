@@ -137,6 +137,14 @@ def reference_tick(
     return active, world_state
 
 
+def reference_normalize(vec: np.ndarray) -> np.ndarray | None:
+    """``vec`` over its total by numpy's pairwise sum; ``None`` when that total is not positive."""
+    total = float(np.add.reduce(vec, axis=None))
+    if total <= 0.0:
+        return None
+    return vec / total
+
+
 def payloads_equal(a: Any, b: Any) -> bool:
     """Exact structural equality over nested tuples, arrays and scalars.
 

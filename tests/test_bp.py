@@ -1,18 +1,21 @@
 """Tree propagation vs brute-force enumeration, and the hierarchy embedding."""
 
 import contextlib
+import copy
 import hashlib
 import itertools
 import json
 import re
 import signal
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coghier import bp, kernel
 
@@ -348,6 +351,88 @@ def test_beliefs_are_normalized_across_random_trees():
             assert abs(float(bel.sum()) - 1.0) <= 1e-9
 
 
+
+# ---------------------------------------------------------------------------
+# Message arithmetic: BLAS products and totals, no defensive copies
+
+# Zero, the smallest subnormal, a subnormal near the normal range, and 1e300,
+# which 1024 entries cannot add past float64's largest value.
+EDGE_ENTRIES = st.sampled_from([0.0, 5e-324, 1e-310, 1e300])
+
+
+@settings(max_examples=200)
+@example(vec=np.zeros(1024))
+@example(vec=np.full(1024, 5e-324))
+@example(vec=np.full(1024, 1e300))
+@given(
+    vec=hnp.arrays(
+        np.float64,
+        st.integers(1, 1024),
+        elements=EDGE_ENTRIES | st.floats(0.0, 1e300),
+        fill=EDGE_ENTRIES,
+    )
+)
+def test_normalize_agrees_with_the_pairwise_sum(vec):
+    """Refuses exactly the vectors the oracle refuses; otherwise agrees within n roundings.
+
+    A BLAS dot may add the entries in another order than numpy's pairwise
+    sum. A quotient below the normal range keeps no relative precision, so
+    there the two are compared to within the smallest normal double.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bp._normalize(vec)
+    want = oracles.reference_normalize(vec)
+    assert (got is None) == (want is None)
+    if want is not None:
+        np.testing.assert_allclose(got, want, rtol=1e-15 * len(vec), atol=np.finfo(float).tiny)
+
+
+# Random trees, and the word/letter tree, whose evidence sums to exactly 1.
+TREES = st.integers(0, 2**32 - 1).map(lambda seed: bp.random_tree(np.random.default_rng(seed), 3))
+
+
+def ticked_once(tree):
+    """The tree's encoded hierarchy and its state after one tick."""
+    hierarchy = bp.encode(tree)
+    return hierarchy, kernel.process_update(
+        kernel.init_active(hierarchy, bp.initial_world_state(tree))
+    )
+
+
+@settings(max_examples=20)
+@example(tree=bp.thecat_tree())
+@given(tree=TREES)
+def test_messages_and_beliefs_share_no_memory_with_their_inputs(tree):
+    """Every message and belief is a new array, and computing them writes into no input."""
+    hierarchy, ah = ticked_once(tree)
+    beliefs = {pid: ah.node(pid).belief for pid in tree.processors}
+    before = copy.deepcopy((beliefs, ah.world_state))
+    inputs = [*ah.world_state.values()]
+    inputs += [vec for slots, causal in beliefs.values() for vec in (*slots, causal)]
+    outputs = [bp.node_belief(belief) for belief in beliefs.values()]
+    for edge in hierarchy.edges:
+        if edge.lower == bp.WORLD_ID:
+            outputs += [item.value[1] for item in edge.sensing_fn(ah.world_state)]
+        else:
+            outputs += [item.value[1] for item in edge.sensing_fn(beliefs[edge.lower])]
+            outputs += [item.value for item in edge.context_fn(beliefs[edge.upper])]
+    assert len(outputs) == 4 * len(tree.processors) - 2  # belief and evidence each, 2 per edge
+    assert not [(o, i) for o in outputs for i in inputs if np.shares_memory(o, i)]
+    assert oracles.payloads_equal((beliefs, ah.world_state), before)
+
+
+@settings(max_examples=20)
+@example(tree=bp.thecat_tree())
+@given(tree=TREES)
+def test_a_tick_leaves_its_input_snapshot_unchanged(tree):
+    hierarchy, ah = ticked_once(tree)
+    fresh = kernel.init_active(hierarchy, bp.initial_world_state(tree))
+    for snapshot in (fresh, ah):
+        before = copy.deepcopy((snapshot.active, snapshot.world_state))
+        kernel.process_update(snapshot)
+        assert oracles.payloads_equal((snapshot.active, snapshot.world_state), before)
+
 # ---------------------------------------------------------------------------
 # Documents
 
@@ -495,9 +580,12 @@ def test_tree_violations_name_each_structural_fault(root, child, violation):
     assert bp.tree_violations(two_processor_tree(root, child)) == [violation]
 
 
-@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0]])
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
 def test_a_conditional_matrix_row_that_holds_nan_does_not_sum_to_1(row):
-    """A NaN row sum compares false both ways, so the check must pass only on a true ``<=``."""
+    """A NaN row sum compares false both ways, so the check must pass only on a true ``<=``.
+
+    ``inf - inf`` sums to NaN too, and the check reports it without a numpy warning.
+    """
     tree = two_processor_tree(child={"cond_matrix": np.array([row, [0.0, 1.0]])})
     violation = "'c': conditional matrix rows do not sum to 1"
     assert bp.tree_violations(tree) == [violation]

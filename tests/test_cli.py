@@ -5,12 +5,16 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coghier
 from coghier import bp, documents, servo
 from coghier.cli import build_parser, main
 
@@ -182,6 +186,10 @@ UNREACHABLE = [f"processor {pid!r} is not reachable from the root" for pid in ("
             set_field("N3", "external_input", [1e308, 1e308]),
             ["'N3': external_input sums to inf, which is not finite"],
         ),
+        (  # the row's sum overflows, which must not leak a numpy warning
+            set_field("N1", "matrix", [1e308, 1e308, 0.5, 0.5]),
+            ["'N1': conditional matrix rows do not sum to 1"],
+        ),
     ],
 )
 def test_tree_violations_reach_validate_and_bp(tmp_path, capsys, mutate, violations):
@@ -191,7 +199,9 @@ def test_tree_violations_reach_validate_and_bp(tmp_path, capsys, mutate, violati
     path = write_json(tmp_path / "bad.json", doc)
     assert main(["validate", path]) == 1
     summary = f"{path}: {len(violations)} violation(s)"
-    assert capsys.readouterr().out.splitlines() == [*violations, summary]
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [*violations, summary]
+    assert err == ""
     start = f"invalid tree in {path}: {'; '.join(violations)}"
     assert_one_line_input_error(["bp", path], capsys, start)
 
@@ -280,6 +290,27 @@ def test_bp_random_suite_output_is_pinned(capsys):
     masked = re.sub(r"max_deviation=\S+", "max_deviation=*", capsys.readouterr().out)
     digest = "0bebafb13b925ee9f24bb0cd4d4dc70393697710e81f368dd30994efa2bae048"
     assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+
+def test_bp_random_suite_passes_on_wide_vectors(capsys):
+    """Vectors of 61, 4, 15, 40 and 64 values: past 8, a BLAS dot may add in another order."""
+    assert main(["bp", "--random", "5", "--max-dim", "64", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert all(": PASS " in line for line in lines)
+
+
+def test_a_closed_stdout_ends_the_script_without_a_traceback():
+    """The reader stops after one line, as ``| head -n 1`` does; the script exits 141."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coghier.__file__))}
+    argv = [sys.executable, "-m", "coghier.cli", "bp", "--random", "300", "--seed", "7"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    ) as proc:
+        assert proc.stdout.readline().startswith("tree-000: PASS ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, "")
 
 
 def test_bp_deep_chain_document_passes(tmp_path, capsys):
