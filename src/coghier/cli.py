@@ -4,13 +4,15 @@ Subcommands: ``validate`` checks a hierarchy or causal-tree document,
 ``bp`` runs the tree-versus-hierarchy equivalence suite, ``servo`` runs the
 tracking experiment. Exit codes: 0 success, 1 semantic failure (validation
 violations, equivalence failures, missing context dominance), 2 input
-errors; the console script exits 141 when its reader closes stdout early.
-All randomness is seeded through explicit flags.
+errors, which :func:`main` alone prints, as one stderr line; the console
+script also exits 2 when stdout cannot be written and 141 when its reader
+closes it early. All randomness is seeded through explicit flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -24,9 +26,28 @@ import numpy as np
 from . import bp, documents, kernel, servo
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+class _InputError(Exception):
+    """An input error, as the one stderr line that reports it; :func:`main` prints it."""
+
+
+@contextlib.contextmanager
+def _relabel(label: str):
+    """Report a ``ValueError`` raised in the block as an input error headed ``label``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _InputError(f"{label}: {exc}") from exc
+
+
+def _load_json(path: str):
+    """The parsed document at ``path``; a file that cannot be read or parsed is an input error."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+        raise _InputError(f"parse error in {path}: {exc}") from exc
 
 
 def _fmt_vector(vec) -> str:
@@ -34,21 +55,13 @@ def _fmt_vector(vec) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_json(args.path)
+    doc = _load_json(args.path)
+    with _relabel(f"parse error in {args.path}"):
         kind = documents.document_kind(doc)
         if kind == "tree":
-            tree = bp.tree_from_document(doc)
-            violations = bp.tree_violations(tree)
+            violations = bp.tree_violations(bp.tree_from_document(doc))
         else:
-            hierarchy = documents.load_hierarchy_document(doc)
-            violations = kernel.validate(hierarchy).format_lines()
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
-    except (documents.DocumentError, ValueError) as exc:
-        print(f"parse error in {args.path}: {exc}", file=sys.stderr)
-        return 2
+            violations = kernel.validate(documents.load_hierarchy_document(doc))
 
     for line in violations:
         print(line)
@@ -75,26 +88,15 @@ def _report_equivalence(name: str, tree: bp.CausalTree, tolerance: float) -> bp.
 
 def cmd_bp(args: argparse.Namespace) -> int:
     if not 0 <= args.tolerance < math.inf:
-        print("bad parameters: tolerance must be finite and non-negative", file=sys.stderr)
-        return 2
+        raise _InputError("bad parameters: tolerance must be finite and non-negative")
     if args.seed < 0:
-        print("bad parameters: seed must be non-negative", file=sys.stderr)
-        return 2
+        raise _InputError("bad parameters: seed must be non-negative")
 
     if args.path:
-        try:
+        with _relabel(f"parse error in {args.path}"):
             tree = bp.tree_from_document(_load_json(args.path))
-        except OSError as exc:
-            print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"parse error in {args.path}: {exc}", file=sys.stderr)
-            return 2
-        try:
+        with _relabel(f"invalid tree in {args.path}"):
             report = _report_equivalence(os.path.basename(args.path), tree, args.tolerance)
-        except ValueError as exc:
-            print(f"invalid tree in {args.path}: {exc}", file=sys.stderr)
-            return 2
         for pid in sorted(report.reference):
             print(f"BEL({pid}) = {_fmt_vector(report.reference[pid])}")
         return 0 if report.passed else 1
@@ -103,11 +105,8 @@ def cmd_bp(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     all_passed = True
     for i in range(args.random):
-        try:
+        with _relabel("bad parameters"):
             tree = bp.random_tree(rng, args.max_depth, args.max_branch, (2, args.max_dim))
-        except ValueError as exc:
-            print(f"bad parameters: {exc}", file=sys.stderr)
-            return 2
         report = _report_equivalence(f"tree-{i:03d}", tree, args.tolerance)
         all_passed = report.passed and all_passed
     return 0 if all_passed else 1
@@ -119,14 +118,11 @@ def _fmt_stat(x: float, digits: int) -> str:
 
 
 def cmd_servo(args: argparse.Namespace) -> int:
-    try:
+    with _relabel("bad parameters"):
         fields = dataclasses.fields(servo.ServoParams)
         params = servo.ServoParams(**{f.name: getattr(args, f.name) for f in fields})
         modes = servo.MODES if args.mode == "both" else (args.mode,)
         summary = servo.run_experiment(params, modes=modes)
-    except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
 
     for path, write in ((args.csv, servo.write_csv), (args.json_path, servo.write_json)):
         if not path:
@@ -134,8 +130,7 @@ def cmd_servo(args: argparse.Namespace) -> int:
         try:
             write(path, summary)
         except OSError as exc:
-            print(f"cannot write {path}: {exc}", file=sys.stderr)
-            return 2
+            raise _InputError(f"cannot write {path}: {exc}") from exc
 
     for mode in modes:
         stats = summary.per_mode[mode]
@@ -152,15 +147,11 @@ def cmd_servo(args: argparse.Namespace) -> int:
     return 0 if dominated else 1
 
 
-class _UsageError(Exception):
-    """A malformed command line, as the one stderr line that reports it."""
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line in one stderr line, without the usage block."""
 
     def error(self, message: str):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise _InputError(f"{self.prog}: error: {message}")
 
 
 @functools.cache
@@ -204,35 +195,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("COGHIER_LOG_LEVEL", "WARNING")
-    if not isinstance(logging.getLevelName(level.upper()), int):
-        names = "DEBUG, INFO, WARNING, ERROR or CRITICAL, in any case"
-        print(f"bad environment: COGHIER_LOG_LEVEL={level!r} is not {names}", file=sys.stderr)
-        return 2
-    logging.basicConfig(level=level.upper())
-    parser = build_parser()
+    """Run one command; every input error is printed here, as one stderr line, and returns 2."""
     try:
+        level = os.environ.get("COGHIER_LOG_LEVEL", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            names = "DEBUG, INFO, WARNING, ERROR or CRITICAL, in any case"
+            raise _InputError(f"bad environment: COGHIER_LOG_LEVEL={level!r} is not {names}")
+        logging.basicConfig(level=level.upper())
+        parser = build_parser()
         args = parser.parse_args(argv)
         if args.command == "bp" and not args.path and args.random <= 0:
             parser.error("bp needs a document path or --random N")
-    except _UsageError as exc:
+        return args.func(args)
+    except _InputError as exc:
         print(exc, file=sys.stderr)
         return 2
-    return args.func(args)
 
 
 def console_main() -> int:
-    """The ``coghier`` script: :func:`main`, or exit 141 once its reader closes stdout.
+    """The ``coghier`` script: :func:`main`, or exit 141 (silently) or 2 when stdout fails.
 
-    As the Python docs advise for SIGPIPE, stdout then points at the null
-    device, so the interpreter's last flush at exit cannot raise again.
+    Stdout then points at the null device, as the Python docs advise for SIGPIPE,
+    so the interpreter's last flush at exit cannot raise again.
     """
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:  # every file a command opens reports its own OSError, so this is stdout
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ended
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ended
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -31,7 +31,7 @@ NodeBuilder = Callable[[str], CognitiveNodeSpec]
 EdgeBuilder = Callable[[str, str], tuple[Callable, Callable, Callable]]
 
 
-class DocumentError(Exception):
+class DocumentError(ValueError):
     """A document could not be interpreted."""
 
 

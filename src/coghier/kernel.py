@@ -34,10 +34,9 @@ class KernelError(Exception):
 class InvalidHierarchyError(KernelError):
     """Raised when an invalid hierarchy is activated."""
 
-    def __init__(self, report: "ValidationReport"):
-        self.report = report
-        lines = "; ".join(v.detail for v in report.violations)
-        super().__init__(f"hierarchy is not well-formed: {lines}")
+    def __init__(self, violations: list[str]):
+        self.violations = violations
+        super().__init__(f"hierarchy is not well-formed: {'; '.join(violations)}")
 
 
 class OperatorError(KernelError):
@@ -198,26 +197,8 @@ class Hierarchy:
 # Validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format_lines(self) -> list[str]:
-        return [f"{v.kind}: {v.detail}" for v in self.violations]
-
-
-def validate(hierarchy: Hierarchy) -> ValidationReport:
-    """Check well-formedness; violations are data, not exceptions.
+def validate(hierarchy: Hierarchy) -> list[str]:
+    """Check well-formedness; violations are ``kind: detail`` lines, not exceptions.
 
     A node the world cannot reach needs no search of its own. Walking back
     from it along usable incoming edges (edges not flagged themselves) either
@@ -225,10 +206,10 @@ def validate(hierarchy: Hierarchy) -> ValidationReport:
     edge: the world, or else a ``unique_source`` violation. Without the world
     (``world_missing``) no graph check runs.
     """
-    found: list[Violation] = []
+    found: list[str] = []
 
     def flag(kind: str, detail: str) -> None:
-        found.append(Violation(kind, detail))
+        found.append(f"{kind}: {detail}")
 
     seen: set[str] = set()
     for nid in (spec.node_id for spec in hierarchy.nodes):
@@ -284,7 +265,7 @@ def validate(hierarchy: Hierarchy) -> ValidationReport:
         if default != initial:
             mapped = f"maps the empty set to {default!r}, expected the initial policy {initial!r}"
             flag("policy_default", f"node {nid!r}: policy selector {mapped}")
-    return ValidationReport(tuple(found))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +339,8 @@ class ActiveHierarchy:
 
 def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
     """Activate a hierarchy: initial beliefs and policies, no actions yet."""
-    report = validate(hierarchy)
-    if not report.ok:
-        raise InvalidHierarchyError(report)
+    if violations := validate(hierarchy):
+        raise InvalidHierarchyError(violations)
     active = {
         spec.node_id: ActiveNode(spec.node_id, spec.initial_belief, spec.initial_policy, ())
         for spec in hierarchy.nodes

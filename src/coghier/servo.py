@@ -378,9 +378,7 @@ def run_experiment(
 
 
 def _sig12(x: float) -> float:
-    if math.isfinite(x):
-        return float(f"{x:.12g}")
-    return x
+    return float(f"{x:.12g}")
 
 
 def summary_to_document(summary: ExperimentSummary) -> dict:

@@ -140,7 +140,7 @@ def test_node_belief_zero_product_raises():
 def test_encode_structure_mirrors_tree():
     tree = bp.thecat_tree()
     h = bp.encode(tree)
-    assert kernel.validate(h).ok
+    assert kernel.validate(h) == []
     pairs = {(e.lower, e.upper) for e in h.edges}
     expected = {("N0", pid) for pid in tree.processors}
     expected |= {(pid, p.parent) for pid, p in tree.processors.items() if p.parent}

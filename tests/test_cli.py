@@ -84,9 +84,14 @@ def test_non_object_processor_record_is_parse_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["validate", "bp"])
 def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
-    path = tmp_path / "binary.json"
-    path.write_bytes(b'\xff\xfe{"processors": []}')
-    assert_one_line_input_error([command, str(path)], capsys, "parse error")
+    """Bytes that are not UTF-8, and arrays nested too deep for the decoder's recursion."""
+    for name, body in [
+        ("binary.json", b'\xff\xfe{"processors": []}'),
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+    ]:
+        path = tmp_path / name
+        path.write_bytes(body)
+        assert_one_line_input_error([command, str(path)], capsys, f"parse error in {path}: ")
 
 
 @pytest.mark.parametrize(
@@ -249,7 +254,12 @@ def test_bp_contradictory_evidence_fails_and_names_the_degenerate_processors(tmp
     set_field("N3", "external_input", [1, 0])(doc)
     assert main(["bp", write_json(tmp_path / "contra.json", doc)]) == 1
     out, err = capsys.readouterr()
-    assert "contra.json: degenerate evidence at N1, N2, N3, N4" in out.splitlines()
+    lines = out.splitlines()
+    assert lines[0] == (
+        "contra.json: FAIL nodes=4 max_deviation=inf ticks=0 "
+        "(reference propagation hit contradictory evidence)"
+    )
+    assert "contra.json: degenerate evidence at N1, N2, N3, N4" in lines
     assert err == ""
 
 
@@ -311,6 +321,21 @@ def test_a_closed_stdout_ends_the_script_without_a_traceback():
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_is_an_input_error_without_a_traceback():
+    """Every write to ``/dev/full`` fails with ENOSPC; the script exits 2 with one stderr line."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coghier.__file__))}
+    argv = [sys.executable, "-m", "coghier.cli", "bp", "--random", "3", "--seed", "7"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("cannot write stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_bp_deep_chain_document_passes(tmp_path, capsys):
@@ -471,6 +496,14 @@ def test_each_servo_flag_reaches_its_parameter(monkeypatch, capsys, flag, field,
     monkeypatch.setattr(servo, "run_experiment", run_experiment)
     assert_one_line_input_error(["servo", flag, str(value)], capsys, "bad parameters: stopped")
     assert seen == [servo.ServoParams(**{field: value})]
+
+
+def test_servo_exits_1_when_context_does_not_dominate(capsys):
+    """With gain 1 both modes follow the readings alone, so their errors tie on every trial."""
+    assert main(["servo", "--trials", "5", "--gain", "1.0"]) == 1
+    out, err = capsys.readouterr()
+    assert "reduction: 0.00%" in out.splitlines()
+    assert err == "context mode did not dominate on every trial\n"
 
 
 def test_servo_bad_params_are_input_errors(capsys):

@@ -31,20 +31,19 @@ from coghier.kernel import (
 
 def test_two_node_chain_is_valid():
     h = build_recorder_hierarchy(["A"], [])
-    assert kernel.validate(h).ok
+    assert kernel.validate(h) == []
 
 
 def test_two_cycle_reported():
     h = build_recorder_hierarchy(["A", "B"], [("A", "B"), ("B", "A")])
-    report = kernel.validate(h)
-    assert any(v.kind == "cycle" for v in report.violations)
+    assert any(line.startswith("cycle: ") for line in kernel.validate(h))
 
 
 def test_fan_in_structure_is_valid():
     h = build_recorder_hierarchy(
         ["N1", "N2", "N3", "N4"], [("N1", "N4"), ("N2", "N4"), ("N3", "N4")]
     )
-    assert kernel.validate(h).ok
+    assert kernel.validate(h) == []
 
 
 def test_duplicate_edge_reported():
@@ -53,8 +52,7 @@ def test_duplicate_edge_reported():
     node = recorder_node("A")
     e = world_edge({"A": node.spaces, "W": world.spaces}, "W", "A")
     h = Hierarchy(nodes=(world, node), world_node="W", edges=(e, e))
-    report = kernel.validate(h)
-    assert any(v.kind == "duplicate_edge" for v in report.violations)
+    assert any(line.startswith("duplicate_edge: ") for line in kernel.validate(h))
 
 
 def test_unreachable_node_reported():
@@ -66,7 +64,7 @@ def test_unreachable_node_reported():
     h = Hierarchy(nodes=(world, *specs), world_node="W", edges=edges)
     # B is unreachable from the world because nothing senses into it, so it is a second source
     expected = "unique_source: node 'B' has no incoming sensing edge; world must be the only source"
-    assert kernel.validate(h).format_lines() == [expected]
+    assert kernel.validate(h) == [expected]
 
 
 def test_world_with_incoming_sensing_edge_reported():
@@ -75,8 +73,7 @@ def test_world_with_incoming_sensing_edge_reported():
     spaces = {"A": specs[0].spaces, "W": world.spaces}
     edges = (world_edge(spaces, "W", "A"), recorder_edge(spaces, "A", "W"))
     h = Hierarchy(nodes=(world, *specs), world_node="W", edges=edges)
-    report = kernel.validate(h)
-    assert any(v.kind == "unique_source" for v in report.violations)
+    assert any(line.startswith("unique_source: ") for line in kernel.validate(h))
 
 
 def test_policy_selector_default_checked():
@@ -96,8 +93,7 @@ def test_policy_selector_default_checked():
     h = Hierarchy(
         nodes=(world, broken), world_node="W", edges=(world_edge(spaces, "W", "A"),)
     )
-    report = kernel.validate(h)
-    assert any(v.kind == "policy_default" for v in report.violations)
+    assert any(line.startswith("policy_default: ") for line in kernel.validate(h))
 
 
 def test_unknown_initial_policy_reported():
@@ -117,8 +113,7 @@ def test_unknown_initial_policy_reported():
     h = Hierarchy(
         nodes=(world, broken), world_node="W", edges=(world_edge(spaces, "W", "A"),)
     )
-    report = kernel.validate(h)
-    assert any(v.kind == "initial_policy" for v in report.violations)
+    assert any(line.startswith("initial_policy: ") for line in kernel.validate(h))
 
 
 def test_duplicate_node_and_self_edge_reported():
@@ -126,7 +121,7 @@ def test_duplicate_node_and_self_edge_reported():
     spaces = {"A": node.spaces, "W": world.spaces}
     edges = (world_edge(spaces, "W", "A"), recorder_edge(spaces, "A", "A"))
     h = Hierarchy(nodes=(world, node, node), world_node="W", edges=edges)
-    lines = kernel.validate(h).format_lines()
+    lines = kernel.validate(h)
     assert "duplicate_node: node id 'A' declared twice" in lines
     assert "self_edge: edge from 'A' to itself" in lines
 
@@ -137,7 +132,7 @@ def test_policy_selector_failing_on_the_empty_set_reported():
     spaces = {"A": broken.spaces, "W": world.spaces}
     h = Hierarchy(nodes=(world, broken), world_node="W", edges=(world_edge(spaces, "W", "A"),))
     expected = "policy_default: node 'A': policy selector failed on the empty set: division by zero"
-    assert kernel.validate(h).format_lines() == [expected]
+    assert kernel.validate(h) == [expected]
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +152,10 @@ def test_init_active_uses_initials_and_empty_actions():
 
 def test_init_active_rejects_invalid():
     h = build_recorder_hierarchy(["A", "B"], [("A", "B"), ("B", "A")])
-    with pytest.raises(InvalidHierarchyError):
+    with pytest.raises(InvalidHierarchyError) as refused:
         kernel.init_active(h, world_state=None)
+    assert refused.value.violations == kernel.validate(h)
+    assert any(line.startswith("cycle: ") for line in refused.value.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +399,7 @@ def test_hierarchy_is_never_mutated_by_ticks():
     ah = kernel.init_active(h, "env")
     ah2 = kernel.process_update(ah)
     assert ah2.hierarchy is h
-    assert kernel.validate(h).ok
+    assert kernel.validate(h) == []
 
 
 def test_actions_match_policy_of_pre_prediction_belief():

@@ -132,7 +132,7 @@ def test_context_edge_present_only_in_context_mode():
 
 def test_hierarchies_validate():
     for mode in servo.MODES:
-        assert kernel.validate(servo.build_servo_hierarchy(ServoParams(), mode)).ok
+        assert kernel.validate(servo.build_servo_hierarchy(ServoParams(), mode)) == []
 
 
 # ---------------------------------------------------------------------------
