@@ -199,6 +199,14 @@ def _normalize(vec: np.ndarray) -> np.ndarray | None:
     return vec / total
 
 
+def _normalized(vec: np.ndarray, where: str, *ids: str) -> np.ndarray:
+    """``vec`` scaled to sum 1; a zero sum raises at ``where.format(*ids)``, formatted only then."""
+    normed = _normalize(vec)
+    if normed is None:
+        raise DegenerateBeliefError(where.format(*ids))
+    return normed
+
+
 def bp_propagate(tree: CausalTree) -> BeliefTable:
     """Exact single-pass message propagation over the tree.
 
@@ -258,10 +266,7 @@ def node_belief(belief_state: tuple) -> np.ndarray:
     total = np.asarray(causal, dtype=float)
     for slot in slots:
         total = total * np.asarray(slot, dtype=float)
-    normed = _normalize(total)
-    if normed is None:
-        raise DegenerateBeliefError("belief state")
-    return normed
+    return _normalized(total, "belief state")
 
 
 def encode(tree: CausalTree) -> Hierarchy:
@@ -299,22 +304,24 @@ def encode(tree: CausalTree) -> Hierarchy:
     return Hierarchy(nodes=tuple(nodes), world_node=WORLD_ID, edges=tuple(edges))
 
 
+def _write_slots(observations: tuple, belief: tuple) -> tuple:
+    slots, causal = belief
+    slots = list(slots)
+    for k, vec in observations:
+        slots[k] = vec
+    return tuple(slots), causal
+
+
+def _take_context(contexts: tuple, actions: tuple, belief: tuple) -> tuple:
+    del actions
+    if not contexts:
+        return belief
+    if len(contexts) != 1:
+        raise ValueError(f"expected a single context value, got {len(contexts)}")
+    return belief[0], contexts[0]
+
+
 def _processor_node(p: Processor, m: int, spaces: NodeValueSpaces) -> CognitiveNodeSpec:
-    def observation_update(observations: tuple, belief: tuple) -> tuple:
-        slots, causal = belief
-        slots = list(slots)
-        for k, vec in observations:
-            slots[k] = vec
-        return tuple(slots), causal
-
-    def prediction_update(contexts: tuple, actions: tuple, belief: tuple) -> tuple:
-        del actions
-        if not contexts:
-            return belief
-        if len(contexts) != 1:
-            raise ValueError(f"expected a single context value, got {len(contexts)}")
-        return belief[0], contexts[0]
-
     # Each slot starts as the no-evidence message, which node-level updates on a fresh state read.
     initial = ((np.full(p.feature_dim, 1.0 / p.feature_dim),) * (m + 1), p.causal.copy())
     return CognitiveNodeSpec(
@@ -322,8 +329,8 @@ def _processor_node(p: Processor, m: int, spaces: NodeValueSpaces) -> CognitiveN
         spaces=spaces,
         policies={"idle": lambda _belief: ()},
         policy_selector=lambda _task_params: "idle",
-        observation_update=observation_update,
-        prediction_update=prediction_update,
+        observation_update=_write_slots,
+        prediction_update=_take_context,
         initial_belief=initial,
         initial_policy="idle",
     )
@@ -331,10 +338,8 @@ def _processor_node(p: Processor, m: int, spaces: NodeValueSpaces) -> CognitiveN
 
 def _external_sensing_fn(p: Processor, obs_tag: str):
     def sensing(world_state: Mapping[str, np.ndarray]) -> tuple[Tagged, ...]:
-        vec = _normalize(np.asarray(world_state[p.id], dtype=float))
-        if vec is None:
-            raise DegenerateBeliefError(f"external input of {p.id!r}")
-        return (Tagged(obs_tag, (0, vec)),)
+        vec = np.asarray(world_state[p.id], dtype=float)
+        return (Tagged(obs_tag, (0, _normalized(vec, "external input of {!r}", p.id))),)
 
     return sensing
 
@@ -347,9 +352,7 @@ def _child_sensing_fn(obs_tag: str, k: int, child: Processor):
         prod = slots[0]
         for slot in slots[1:]:
             prod = prod * slot
-        msg = _normalize(matrix.dot(prod))
-        if msg is None:
-            raise DegenerateBeliefError(f"upward message from {child.id!r}")
+        msg = _normalized(matrix.dot(prod), "upward message from {!r}", child.id)
         return (Tagged(obs_tag, (k, msg)),)
 
     return sensing
@@ -364,9 +367,7 @@ def _context_fn(ctx_tag: str, k: int, child: Processor):
         for i, slot in enumerate(slots):
             if i != k:
                 prod = prod * slot
-        msg = _normalize(prod.dot(matrix))
-        if msg is None:
-            raise DegenerateBeliefError(f"context for {child.id!r}")
+        msg = _normalized(prod.dot(matrix), "context for {!r}", child.id)
         return (Tagged(ctx_tag, msg),)
 
     return context
@@ -386,7 +387,6 @@ class EquivalenceReport:
     max_deviation: float = math.inf
     ticks: int = 0
     converged: bool = False
-    tolerance: float = 1e-9
     degenerate: tuple[str, ...] = ()
     detail: str = ""
     reference: Mapping[str, np.ndarray] = field(default_factory=dict)  # bp_propagate's beliefs
@@ -412,7 +412,7 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
     """
     hierarchy = encode(tree)
     oracle = bp_propagate(tree)
-    report = partial(EquivalenceReport, tolerance=tolerance, reference=oracle.beliefs)
+    report = partial(EquivalenceReport, reference=oracle.beliefs)
     if oracle.degenerate:
         return report(
             degenerate=tuple(sorted(oracle.degenerate)),

@@ -87,6 +87,8 @@ def _report_equivalence(name: str, tree: bp.CausalTree, tolerance: float) -> bp.
 
 
 def cmd_bp(args: argparse.Namespace) -> int:
+    if not args.path and args.random <= 0:
+        build_parser().error("bp needs a document path or --random N")
     if not 0 <= args.tolerance < math.inf:
         raise _InputError("bad parameters: tolerance must be finite and non-negative")
     if args.seed < 0:
@@ -202,10 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             names = "DEBUG, INFO, WARNING, ERROR or CRITICAL, in any case"
             raise _InputError(f"bad environment: COGHIER_LOG_LEVEL={level!r} is not {names}")
         logging.basicConfig(level=level.upper())
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "bp" and not args.path and args.random <= 0:
-            parser.error("bp needs a document path or --random N")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _InputError as exc:
         print(exc, file=sys.stderr)
@@ -213,20 +212,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> int:
-    """The ``coghier`` script: :func:`main`, or exit 141 (silently) or 2 when stdout fails.
+    """The ``coghier`` script: :func:`main`, or exit 141 (silently) or 2 when an output fails.
 
-    Stdout then points at the null device, as the Python docs advise for SIGPIPE,
-    so the interpreter's last flush at exit cannot raise again.
+    A stream that cannot be written then points at the null device, as the Python docs
+    advise for SIGPIPE, so the interpreter's last flush at exit cannot raise again.
     """
     try:
         code = main()
         sys.stdout.flush()
-    except OSError as exc:  # every file a command opens reports its own OSError, so this is stdout
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            return 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ended
-        print(f"cannot write stdout: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        code = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal ended
+    except OSError as exc:  # each file a command opens reports its own, so this is stdout or stderr
+        code = 2
+        with contextlib.suppress(OSError):  # when stderr failed, this line is lost as well
+            print(f"cannot write stdout: {exc}", file=sys.stderr)
+    for stream in (sys.stdout, sys.stderr):  # a failed stream still holds what it could not write
+        try:
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

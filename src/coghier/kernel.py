@@ -123,15 +123,15 @@ class CognitiveNodeSpec:
 
 
 def make_world_node_spec(
-    node_id: str, actuate: Callable[[tuple, Any], Any] | None = None
+    node_id: str, actuate: Callable[[tuple, Any], Any] = lambda _task_params, state: state
 ) -> CognitiveNodeSpec:
     """Build the opaque world node.
 
     The world node never senses and never runs a policy. During the
     prediction sweep the kernel hands it the task parameters gathered from
-    its upper neighbours; ``actuate(task_params, world_state)`` must return
-    the new world state. Without ``actuate`` the world state is left alone,
-    and the spec serves as an inert non-world node too.
+    its upper neighbours; ``actuate(task_params, world_state)`` returns the
+    new world state. The default ``actuate`` returns the state it is given,
+    so the spec serves as an inert non-world node too.
     """
     return CognitiveNodeSpec(
         node_id=node_id,
@@ -139,11 +139,7 @@ def make_world_node_spec(
         policies={"idle": lambda _belief: ()},
         policy_selector=lambda _task_params: "idle",
         observation_update=lambda _obs, belief: belief,
-        prediction_update=(
-            (lambda _contexts, _task_params, world_state: world_state)
-            if actuate is None
-            else lambda _contexts, task_params, world_state: actuate(task_params, world_state)
-        ),
+        prediction_update=lambda _contexts, task_params, state: actuate(task_params, state),
         initial_belief=None,
         initial_policy="idle",
     )

@@ -120,7 +120,6 @@ def build_servo_hierarchy(params: ServoParams, mode: str) -> Hierarchy:
     gain, keep = params.kalman_gain, 1.0 - params.kalman_gain
     k, dt = params.accel, params.dt
     drift, dv = 0.5 * k * dt * dt, k * dt
-    with_context = mode == "context"
 
     filter_spaces = default_spaces(FILTER_NODE)
     physics_spaces = default_spaces(PHYSICS_NODE)
@@ -132,7 +131,7 @@ def build_servo_hierarchy(params: ServoParams, mode: str) -> Hierarchy:
         return keep * belief + gain * observations[0]
 
     def filter_prediction(contexts: tuple, actions: tuple, belief: float) -> float:
-        if with_context and contexts:
+        if contexts:  # only the relay edge of ``context`` mode emits one
             return contexts[0]
         if actions:
             return actions[0]
@@ -192,7 +191,7 @@ def build_servo_hierarchy(params: ServoParams, mode: str) -> Hierarchy:
         task_param_fn=lambda actions: [Tagged(filter_spaces.task_param_space, a) for a in actions],
         context_fn=(
             (lambda belief: (Tagged(filter_spaces.context_space, belief[0]),))
-            if with_context
+            if mode == "context"
             else emit_nothing
         ),
     )

@@ -110,6 +110,59 @@ def test_contradictory_evidence_is_degenerate():
     assert report.degenerate
 
 
+def _zero_product_cases():
+    """(tree, world state or None for the tree's own, where) for each embedding site but one."""
+    thecat = bp.thecat_tree()
+    zero_n1 = {**bp.initial_world_state(thecat), "N1": np.zeros(2)}
+    collapsing_child = bp.CausalTree(
+        {
+            "R": bp.Processor("R", 2),
+            "C": bp.Processor("C", 2, "R", [[1, 0], [1, 0]], external_input=[0, 1]),
+        },
+        "R",
+    )
+    opposed_root = bp.CausalTree(
+        {
+            "R": bp.Processor("R", 2, causal=[1, 0], external_input=[0, 1]),
+            "C": bp.Processor("C", 2, "R", np.eye(2)),
+        },
+        "R",
+    )
+    return [
+        (thecat, zero_n1, "external input of 'N1'"),
+        (collapsing_child, None, "upward message from 'C'"),
+        (opposed_root, None, "context for 'C'"),
+    ]
+
+
+@pytest.mark.parametrize("tree, world, where", _zero_product_cases())
+def test_each_zero_product_in_a_tick_names_where_it_arose(tree, world, where):
+    assert bp.tree_violations(tree) == []
+    ah = kernel.init_active(bp.encode(tree), world or bp.initial_world_state(tree))
+    with pytest.raises(bp.DegenerateBeliefError) as failure:
+        kernel.process_update(ah)
+    assert failure.value.where == where
+    assert str(failure.value) == f"contradictory evidence: zero belief product at {where}"
+    if world is None:  # the tree's own evidence collapses, so the reference reports it first
+        report = bp.equivalence_check(tree)
+        assert (report.passed, report.ticks, report.degenerate) == (False, 0, ("C", "R"))
+        assert report.detail == "reference propagation hit contradictory evidence"
+
+
+def test_a_zero_product_only_the_embedding_meets_is_reported_with_its_tick(monkeypatch):
+    """``node_belief`` and ``bp_propagate`` multiply in other orders; they may part on a zero."""
+
+    def collapsed(belief_state):
+        raise bp.DegenerateBeliefError("belief state")
+
+    monkeypatch.setattr(bp, "node_belief", collapsed)
+    report = bp.equivalence_check(bp.thecat_tree())
+    assert (report.passed, report.converged, report.ticks) == (False, False, 2)
+    assert report.degenerate == ("belief state",)
+    assert report.detail == "contradictory evidence: zero belief product at belief state"
+    assert report.max_deviation == np.inf
+
+
 # ---------------------------------------------------------------------------
 # Belief extraction
 

@@ -67,6 +67,15 @@ def test_validate_missing_file_is_input_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
 
+def test_validate_an_unknown_edge_bundle_is_parse_error(tmp_path, capsys):
+    doc = documents.demo_document("thecat")
+    doc["edges"][0]["functions"] = "nope"
+    path = write_json(tmp_path / "nope.json", doc)
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error in {path}: unknown edge function bundle 'nope'\n"
+
+
 def assert_one_line_input_error(argv, capsys, start):
     """Exit 2 with a single stderr line beginning ``start`` and no traceback."""
     assert main(argv) == 2
@@ -263,6 +272,21 @@ def test_bp_contradictory_evidence_fails_and_names_the_degenerate_processors(tmp
     assert err == ""
 
 
+def test_bp_reports_a_zero_product_only_the_embedding_meets(thecat_tree_doc, monkeypatch, capsys):
+    def collapsed(belief_state):
+        raise bp.DegenerateBeliefError("belief state")
+
+    monkeypatch.setattr(bp, "node_belief", collapsed)
+    assert main(["bp", thecat_tree_doc]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[:2] == [
+        "tree.json: FAIL nodes=4 max_deviation=inf ticks=2 "
+        "(contradictory evidence: zero belief product at belief state)",
+        "tree.json: degenerate evidence at belief state",
+    ]
+    assert err == ""
+
+
 def test_bp_document_propagates_the_tree_once(thecat_tree_doc, monkeypatch, capsys):
     """The printed beliefs are the equivalence check's reference, not a second propagation."""
     calls = []
@@ -336,6 +360,38 @@ def test_a_full_stdout_is_an_input_error_without_a_traceback():
     assert proc.stderr.startswith("cannot write stdout: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout_full, kept",
+    [
+        (["bp"], False, []),
+        (["validate", "/nonexistent.json"], False, []),
+        (["bp", "--random", "2", "--seed", "7"], True, []),
+        # the third tree of this suite hits the 2000-processor cap
+        (["bp", "--random", "5", "--seed", "8", "--max-depth", "64"], False, [7, 2]),
+    ],
+    ids=["bp-without-input", "validate-missing-file", "stdout-full-too", "bp-cap-part-way"],
+)
+def test_a_full_stderr_still_exits_2_and_keeps_what_stdout_took(argv, stdout_full, kept):
+    """Buffered streams, as an installed script has them: an unwritten line stays buffered."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(coghier.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coghier.cli", *argv],
+            stdout=full if stdout_full else subprocess.PIPE,
+            stderr=full,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    lines = (proc.stdout or "").splitlines()
+    assert [line.split(" max_deviation=")[0] for line in lines] == [
+        f"tree-{i:03d}: PASS nodes={n}" for i, n in enumerate(kept)
+    ]
 
 
 def test_bp_deep_chain_document_passes(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coghier import bp, documents, kernel
+from coghier import bp, documents, kernel, servo
 
 
 def test_word_demo_document_loads_and_validates():
@@ -26,6 +26,29 @@ def test_servo_demo_document_loads_and_validates():
     h = documents.load_hierarchy_document(doc)
     assert kernel.validate(h) == []
     assert set(h.node_ids) == {"N0", "N1", "N2"}
+
+
+@pytest.mark.parametrize(
+    "lower, upper, message",
+    [
+        ("N0", "N1", "expected one position reading, got 0"),
+        ("N1", "N2", "expected one position estimate, got 0"),
+    ],
+)
+def test_a_servo_edge_that_senses_nothing_fails_its_upper_node_on_the_first_tick(
+    lower, upper, message
+):
+    doc = documents.demo_document("servo")
+    for rec in doc["edges"]:
+        if (rec["lower"], rec["upper"]) == (lower, upper):
+            rec["functions"] = "noop.edge"
+    h = documents.load_hierarchy_document(doc)
+    assert kernel.validate(h) == []
+    at_rest = np.zeros(1)
+    ah = kernel.init_active(h, servo.ServoWorld(0.0, 0.0, at_rest, at_rest))
+    with pytest.raises(kernel.OperatorError, match=message) as failure:
+        kernel.process_update(ah)
+    assert (failure.value.node, failure.value.edge) == (upper, None)
 
 
 def test_extra_edge_can_introduce_a_cycle():
@@ -52,6 +75,8 @@ def test_bundle_bound_to_other_node_rejected():
 
 
 def test_missing_fields_rejected():
+    with pytest.raises(documents.DocumentError):
+        documents.load_hierarchy_document([])
     with pytest.raises(documents.DocumentError):
         documents.load_hierarchy_document({"nodes": []})
     with pytest.raises(documents.DocumentError):
