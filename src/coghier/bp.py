@@ -327,12 +327,9 @@ def _processor_node(p: Processor, m: int, spaces: NodeValueSpaces) -> CognitiveN
     return CognitiveNodeSpec(
         node_id=p.id,
         spaces=spaces,
-        policies={"idle": lambda _belief: ()},
-        policy_selector=lambda _task_params: "idle",
         observation_update=_write_slots,
         prediction_update=_take_context,
         initial_belief=initial,
-        initial_policy="idle",
     )
 
 
@@ -386,7 +383,6 @@ class EquivalenceReport:
     passed: bool = False
     max_deviation: float = math.inf
     ticks: int = 0
-    converged: bool = False
     degenerate: tuple[str, ...] = ()
     detail: str = ""
     reference: Mapping[str, np.ndarray] = field(default_factory=dict)  # bp_propagate's beliefs
@@ -434,7 +430,7 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
             deviation = max(deviation, float(np.max(np.abs(bel - oracle.beliefs[pid]))))
     except DegenerateBeliefError as exc:
         return report(ticks=ticks, degenerate=(str(exc.where),), detail=str(exc))
-    return report(passed=deviation < tolerance, max_deviation=deviation, ticks=2, converged=True)
+    return report(passed=deviation < tolerance, max_deviation=deviation, ticks=2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ receiving node's declared value spaces and never looks at the payload itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 
@@ -95,6 +96,13 @@ def default_spaces(node_id: str) -> NodeValueSpaces:
     )
 
 
+_IDLE_POLICIES = MappingProxyType({"idle": lambda _belief: ()})
+
+
+def _select_idle(_task_params: tuple) -> str:
+    return "idle"
+
+
 @dataclass(frozen=True)
 class CognitiveNodeSpec:
     """A node's operator bundle.
@@ -105,7 +113,9 @@ class CognitiveNodeSpec:
     ``observation_update(observations, belief)`` folds a tuple of observation
     values into the belief; ``prediction_update(contexts, actions, belief)``
     folds downward context and the node's own fresh actions into the belief.
-    All operators must be deterministic.
+    All operators must be deterministic. A spec given no policies is idle:
+    every idle spec shares one read-only ``idle`` policy, which fires no
+    actions, and one selector that always picks it.
 
     For the world node the kernel calls
     ``prediction_update(contexts, task_params, world_state)`` and stores the
@@ -114,34 +124,31 @@ class CognitiveNodeSpec:
 
     node_id: str
     spaces: NodeValueSpaces
-    policies: Mapping[str, Callable[[Any], Iterable[Any]]]
-    policy_selector: Callable[[tuple], str]
     observation_update: Callable[[tuple, Any], Any]
     prediction_update: Callable[[tuple, tuple, Any], Any]
-    initial_belief: Any
-    initial_policy: str
+    # A factory hands each idle spec the one shared mapping; a dataclass refuses it as a default.
+    policies: Mapping[str, Callable] = field(default_factory=lambda: _IDLE_POLICIES)
+    policy_selector: Callable[[tuple], str] = _select_idle
+    initial_belief: Any = None
+    initial_policy: str = "idle"
 
 
 def make_world_node_spec(
     node_id: str, actuate: Callable[[tuple, Any], Any] = lambda _task_params, state: state
 ) -> CognitiveNodeSpec:
-    """Build the opaque world node.
+    """Build the opaque world node: an idle spec with the default tags of ``node_id``.
 
     The world node never senses and never runs a policy. During the
     prediction sweep the kernel hands it the task parameters gathered from
     its upper neighbours; ``actuate(task_params, world_state)`` returns the
     new world state. The default ``actuate`` returns the state it is given,
-    so the spec serves as an inert non-world node too.
+    so the spec also serves as an inert non-world node, whose belief stays None.
     """
     return CognitiveNodeSpec(
         node_id=node_id,
         spaces=default_spaces(node_id),
-        policies={"idle": lambda _belief: ()},
-        policy_selector=lambda _task_params: "idle",
         observation_update=lambda _obs, belief: belief,
         prediction_update=lambda _contexts, task_params, state: actuate(task_params, state),
-        initial_belief=None,
-        initial_policy="idle",
     )
 
 
@@ -313,9 +320,8 @@ def prediction_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
 
 
 class ActiveNode(NamedTuple):
-    """Mutable-per-tick facet of one node: belief, policy, actions."""
+    """Mutable-per-tick facet of one node: belief, policy, actions; its id is its key."""
 
-    node_id: str
     belief: Any
     policy: str
     actions: tuple
@@ -338,7 +344,7 @@ def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
     if violations := validate(hierarchy):
         raise InvalidHierarchyError(violations)
     active = {
-        spec.node_id: ActiveNode(spec.node_id, spec.initial_belief, spec.initial_policy, ())
+        spec.node_id: ActiveNode(spec.initial_belief, spec.initial_policy, ())
         for spec in hierarchy.nodes
     }
     hierarchy._schedule  # compile the sweeps here, once, rather than in the first tick
@@ -384,7 +390,7 @@ def _sensing_step(
         except Exception as exc:
             pair = None if lower is None else (lower, node_id)
             raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
-        active[node_id] = new(ActiveNode, (node_id, belief, current.policy, current.actions))
+        active[node_id] = new(ActiveNode, (belief, current.policy, current.actions))
         return world_state
 
     return sense
@@ -434,7 +440,7 @@ def _prediction_step(
         except Exception as exc:
             pair = None if upper is None else (node_id, upper)
             raise OperatorError(f"operator failed: {exc}", node=node_id, edge=pair) from exc
-        active[node_id] = new(ActiveNode, (node_id, belief, policy_id, actions))
+        active[node_id] = new(ActiveNode, (belief, policy_id, actions))
         return world_state
 
     return predict

@@ -131,11 +131,8 @@ def build_servo_hierarchy(params: ServoParams, mode: str) -> Hierarchy:
         return keep * belief + gain * observations[0]
 
     def filter_prediction(contexts: tuple, actions: tuple, belief: float) -> float:
-        if contexts:  # only the relay edge of ``context`` mode emits one
-            return contexts[0]
-        if actions:
-            return actions[0]
-        return belief
+        # Only the relay edge of ``context`` mode emits context, and ``track`` fires one action.
+        return contexts[0] if contexts else actions[0]
 
     filter_node = CognitiveNodeSpec(
         node_id=FILTER_NODE,

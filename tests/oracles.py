@@ -111,7 +111,7 @@ def reference_tick(
             observations += _gather(edge.sensing_fn, source, tag, nid, pair)
         node = active[nid]
         belief = _operate(spec.observation_update, nid, tuple(observations), node.belief)
-        active[nid] = ActiveNode(nid, belief, node.policy, node.actions)
+        active[nid] = ActiveNode(belief, node.policy, node.actions)
 
     for nid in (*reversed(order), world):
         spec, task_params, contexts = hierarchy.node(nid), [], []
@@ -133,7 +133,7 @@ def reference_tick(
                 raise OperatorError(f"selector chose unknown policy {policy!r}", nid)
         actions = _operate(lambda belief: tuple(spec.policies[policy](belief)), nid, node.belief)
         belief = _operate(spec.prediction_update, nid, tuple(contexts), actions, node.belief)
-        active[nid] = ActiveNode(nid, belief, policy, actions)
+        active[nid] = ActiveNode(belief, policy, actions)
     return active, world_state
 
 

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import re
 import signal
 import warnings
@@ -157,7 +158,7 @@ def test_a_zero_product_only_the_embedding_meets_is_reported_with_its_tick(monke
 
     monkeypatch.setattr(bp, "node_belief", collapsed)
     report = bp.equivalence_check(bp.thecat_tree())
-    assert (report.passed, report.converged, report.ticks) == (False, False, 2)
+    assert (report.passed, math.isfinite(report.max_deviation), report.ticks) == (False, False, 2)
     assert report.degenerate == ("belief state",)
     assert report.detail == "contradictory evidence: zero belief product at belief state"
     assert report.max_deviation == np.inf
@@ -209,6 +210,37 @@ def test_encode_leaf_has_single_slot():
     np.testing.assert_allclose(causal, [0.5, 0.5])
     slots4, _ = h.node("N4").initial_belief
     assert len(slots4) == 4
+
+
+def test_encoded_nodes_share_the_kernels_one_idle_policy():
+    nodes = bp.encode(bp.thecat_tree()).nodes
+    idle = kernel.make_world_node_spec("W")
+    assert all(spec.policies is idle.policies for spec in nodes)
+    assert all(spec.policy_selector is idle.policy_selector for spec in nodes)
+
+
+def test_a_processor_given_a_second_context_fails_its_tick():
+    """Encoding gives each processor one context at most; a hand-wired second one is refused."""
+    tree = bp.thecat_tree()
+    h = bp.encode(tree)
+    second = kernel.EdgeTriple(
+        lower="N1",
+        upper="X",
+        sensing_fn=kernel.emit_nothing,
+        context_fn=lambda _belief: (kernel.Tagged("ctx:N1", np.full(2, 0.5)),),
+    )
+    wired = kernel.Hierarchy(
+        nodes=(*h.nodes, kernel.make_world_node_spec("X")),
+        world_node=h.world_node,
+        edges=(*h.edges, second),
+    )
+    assert kernel.validate(wired) == []
+    ah = kernel.init_active(wired, bp.initial_world_state(tree))
+    with pytest.raises(kernel.OperatorError) as failure:
+        kernel.process_update(ah)
+    assert (failure.value.node, failure.value.edge) == ("N1", None)
+    message = "operator failed: expected a single context value, got 2 (node 'N1')"
+    assert str(failure.value) == message
 
 
 def test_sensing_emission_names_its_slot():
@@ -294,6 +326,20 @@ def test_equivalence_random_suite():
         assert report.passed, f"deviation {report.max_deviation} on {len(tree.processors)} nodes"
 
 
+def test_equivalence_check_fails_a_deviation_of_1e_6_by_default_but_not_within_1e_5(monkeypatch):
+    real = bp.node_belief
+
+    def shifted(belief_state):
+        bel = real(belief_state).copy()
+        bel[0] += 1e-6
+        return bel
+
+    monkeypatch.setattr(bp, "node_belief", shifted)
+    report = bp.equivalence_check(bp.thecat_tree())
+    assert not report.passed and report.max_deviation == pytest.approx(1e-6, rel=1e-6)
+    assert bp.equivalence_check(bp.thecat_tree(), tolerance=1e-5).passed
+
+
 def test_two_level_random_tree_single_tick_matches_oracle():
     rng = np.random.default_rng(5)
     n = 3
@@ -332,7 +378,7 @@ def test_equivalence_check_settles_after_one_tick(seed, depth):
     tree = bp.random_tree(np.random.default_rng(seed), max_depth=depth)
     report = bp.equivalence_check(tree)
     assert not report.degenerate
-    assert report.converged and report.ticks == 2
+    assert math.isfinite(report.max_deviation) and report.ticks == 2
     assert report.passed
     oracle = bp.bp_propagate(tree)
     ah = kernel.process_update(kernel.init_active(bp.encode(tree), bp.initial_world_state(tree)))
@@ -363,14 +409,14 @@ def shift_causal(delta):
 def test_a_second_tick_that_moves_a_vector_has_no_fixpoint(monkeypatch, tree):
     perturb_second_tick(monkeypatch, tree.root, shift_causal(1e-9))
     report = bp.equivalence_check(tree)
-    assert (report.converged, report.passed, report.ticks) == (False, False, 2)
+    assert (math.isfinite(report.max_deviation), report.passed, report.ticks) == (False, False, 2)
     assert report.detail == "no fixpoint after 2 ticks"
 
 
 def test_a_second_tick_within_the_fixpoint_tolerance_passes(monkeypatch):
     perturb_second_tick(monkeypatch, "N2", shift_causal(1e-13))
     report = bp.equivalence_check(bp.thecat_tree())
-    assert report.converged and report.passed and report.ticks == 2
+    assert math.isfinite(report.max_deviation) and report.passed and report.ticks == 2
 
 
 @pytest.mark.parametrize(
@@ -384,7 +430,7 @@ def test_a_second_tick_within_the_fixpoint_tolerance_passes(monkeypatch):
 def test_a_second_tick_with_nan_or_another_shape_has_no_fixpoint(monkeypatch, change):
     perturb_second_tick(monkeypatch, "N4", change)
     report = bp.equivalence_check(bp.thecat_tree())
-    assert (report.converged, report.passed, report.ticks) == (False, False, 2)
+    assert (math.isfinite(report.max_deviation), report.passed, report.ticks) == (False, False, 2)
     assert report.detail == "no fixpoint after 2 ticks"
     assert report.max_deviation == np.inf
 
@@ -542,6 +588,15 @@ def test_tree_violations_flag_all_zero_evidence_and_prior():
         "'N2': external_input is all zero, so no value can have support",
         "'N4': causal is all zero, so no value can have support",
     ]
+
+
+def test_random_tree_caps_its_size_at_2000_processors():
+    assert bp.MAX_RANDOM_PROCESSORS == 2000  # the cap README states
+
+
+def test_random_tree_draws_dimensions_2_to_5_by_default():
+    roots = [bp.random_tree(np.random.default_rng(seed), max_depth=0) for seed in range(40)]
+    assert {tree.processors["P0"].feature_dim for tree in roots} == {2, 3, 4, 5}
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,14 @@ def test_non_object_processor_record_is_parse_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["validate", "bp"])
+def test_an_empty_tree_document_is_parse_error(tmp_path, capsys, command):
+    path = write_json(tmp_path / "empty-tree.json", {"processors": []})
+    assert main([command, path]) == 2
+    message = f"parse error in {path}: document must contain a non-empty 'processors' list\n"
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("command", ["validate", "bp"])
 def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
     """Bytes that are not UTF-8, and arrays nested too deep for the decoder's recursion."""
     for name, body in [

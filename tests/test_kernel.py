@@ -150,6 +150,31 @@ def test_init_active_uses_initials_and_empty_actions():
     assert ah.world_state == "env0"
 
 
+def test_an_active_node_is_its_belief_policy_and_actions_keyed_by_its_id():
+    ah = kernel.init_active(diamond(), world_state="env0")
+    assert kernel.ActiveNode._fields == ("belief", "policy", "actions")
+    assert ah.active["A"] == (("init", "A"), "p0", ())
+
+
+def test_specs_given_no_policies_share_one_read_only_idle_policy():
+    a = kernel.CognitiveNodeSpec(
+        node_id="A",
+        spaces=default_spaces("A"),
+        observation_update=lambda _obs, belief: belief,
+        prediction_update=lambda _contexts, _actions, belief: belief,
+    )
+    world = make_world_node_spec("W")
+    assert a.policies is world.policies and a.policy_selector is world.policy_selector
+    assert list(a.policies) == ["idle"] and a.policies["idle"]("any belief") == ()
+    assert (a.policy_selector(("task",)), a.initial_policy) == ("idle", "idle")
+    assert a.initial_belief is None
+    with pytest.raises(TypeError):
+        a.policies["other"] = a.policies["idle"]  # a write would reach every idle node
+    edges = (world_edge({"A": a.spaces, "W": world.spaces}, "W", "A"),)
+    ah = kernel.init_active(Hierarchy(nodes=(world, a), world_node="W", edges=edges), "env0")
+    assert kernel.process_update(ah).node("A") == (None, "idle", ())
+
+
 def test_init_active_rejects_invalid():
     h = build_recorder_hierarchy(["A", "B"], [("A", "B"), ("B", "A")])
     with pytest.raises(InvalidHierarchyError) as refused:

@@ -53,6 +53,10 @@ def test_params_defaults_give_sixty_steps():
     assert ServoParams().steps == 60
 
 
+def test_params_cap_steps_and_trials_at_the_values_readme_states():
+    assert (servo.MAX_STEPS, servo.MAX_TRIALS) == (100_000, 10_000)
+
+
 def test_params_allow_exactly_the_step_cap():
     assert ServoParams(dt=1.0, duration=float(servo.MAX_STEPS)).steps == servo.MAX_STEPS
 
@@ -77,6 +81,7 @@ def test_params_allow_exactly_the_trial_cap():
         {"kalman_gain": float("nan")},
         {"duration": 1e9},
         {"duration": 1e308, "dt": 1e-300},
+        {"dt": 0.001, "duration": 200.0},  # 200,000 steps, though duration * dt is only 0.2
         {"trials": servo.MAX_TRIALS + 1},
         {"seed": -1},
     ],
