@@ -572,6 +572,11 @@ def tree_from_document(doc: Any) -> CausalTree:
                 raise ValueError(f"processor {pid!r} needs a conditional matrix")
             if parent not in dims:
                 raise ValueError(f"processor {pid!r} names an unknown parent {parent!r}")
+            if flat.size != dims[parent] * n:
+                raise ValueError(
+                    f"processor {pid!r}: 'matrix' must hold {dims[parent]} x {n} = "
+                    f"{dims[parent] * n} numbers, got {flat.size}"
+                )
             matrix = flat.reshape(dims[parent], n)
         procs[pid] = Processor(
             id=pid,

@@ -123,7 +123,6 @@ def build_servo_hierarchy(params: ServoParams, mode: str) -> Hierarchy:
 
     filter_spaces = default_spaces(FILTER_NODE)
     physics_spaces = default_spaces(PHYSICS_NODE)
-    world_spaces = default_spaces(WORLD)
 
     def filter_observation(observations: tuple, belief: float) -> float:
         if len(observations) != 1:
@@ -159,33 +158,28 @@ def build_servo_hierarchy(params: ServoParams, mode: str) -> Hierarchy:
     physics_node = CognitiveNodeSpec(
         node_id=PHYSICS_NODE,
         spaces=physics_spaces,
-        policies={"command": lambda _belief: ("track",)},
-        policy_selector=lambda _task_params: "command",
         observation_update=physics_observation,
         prediction_update=physics_prediction,
         initial_belief=(0.0, 0.0),
-        initial_policy="command",
     )
 
     def actuate(task_params: tuple, world: ServoWorld) -> ServoWorld:
-        if not task_params:
-            return world
         return ServoWorld(world.elapsed, world.true_position, task_params[0], world.sensor_reading)
 
     world_node = make_world_node_spec(WORLD, actuate=actuate)
+    world_tag = world_node.spaces.task_param_space
 
     sense_edge = EdgeTriple(
         lower=WORLD,
         upper=FILTER_NODE,
         sensing_fn=lambda world: (Tagged(filter_spaces.observation_space, world.sensor_reading),),
-        task_param_fn=lambda actions: [Tagged(world_spaces.task_param_space, a) for a in actions],
+        task_param_fn=lambda actions: [Tagged(world_tag, a) for a in actions],
     )
 
     relay_edge = EdgeTriple(
         lower=FILTER_NODE,
         upper=PHYSICS_NODE,
         sensing_fn=lambda belief: (Tagged(physics_spaces.observation_space, belief),),
-        task_param_fn=lambda actions: [Tagged(filter_spaces.task_param_space, a) for a in actions],
         context_fn=(
             (lambda belief: (Tagged(filter_spaces.context_space, belief[0]),))
             if mode == "context"

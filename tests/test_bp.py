@@ -573,6 +573,26 @@ def test_tree_document_rejects_malformed_records(record):
         bp.tree_from_document({"processors": [record]})
 
 
+@pytest.mark.parametrize(
+    ("parent_n", "matrix", "message"),
+    [
+        (2, [0.5] * 4 + [0.1], "processor 'b': 'matrix' must hold 2 x 2 = 4 numbers, got 5"),
+        (2, [0.5, 0.5, 1.0], "processor 'b': 'matrix' must hold 2 x 2 = 4 numbers, got 3"),
+        (3, [0.5, 0.5] * 2, "processor 'b': 'matrix' must hold 3 x 2 = 6 numbers, got 4"),
+    ],
+)
+def test_a_matrix_of_the_wrong_length_names_its_processor(parent_n, matrix, message):
+    """The parent's n times the child's n entries, checked before any reshape."""
+    doc = {
+        "processors": [
+            {"id": "a", "n": parent_n},
+            {"id": "b", "n": 2, "parent": "a", "matrix": matrix},
+        ]
+    }
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bp.tree_from_document(doc)
+
+
 def test_tree_document_dimension_one_is_a_violation():
     tree = bp.tree_from_document({"processors": [{"id": "r", "n": 1, "parent": None}]})
     assert bp.tree_violations(tree) == ["'r': feature_dim must be at least 2"]

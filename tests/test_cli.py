@@ -100,6 +100,17 @@ def test_an_empty_tree_document_is_parse_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["validate", "bp"])
+def test_a_matrix_of_the_wrong_length_is_a_parse_error_naming_its_processor(
+    tmp_path, capsys, command
+):
+    child = {"id": "b", "n": 2, "parent": "a", "matrix": [0.5, 0.5, 0.5, 0.5, 0.1]}
+    doc = {"processors": [{"id": "a", "n": 2}, child]}
+    path = write_json(tmp_path / "bad-matrix.json", doc)
+    start = f"parse error in {path}: processor 'b': 'matrix' must hold 2 x 2 = 4 numbers, got 5"
+    assert_one_line_input_error([command, path], capsys, start)
+
+
+@pytest.mark.parametrize("command", ["validate", "bp"])
 def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
     """Bytes that are not UTF-8, and arrays nested too deep for the decoder's recursion."""
     for name, body in [

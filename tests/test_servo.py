@@ -133,6 +133,24 @@ def test_context_edge_present_only_in_context_mode():
     assert relay.context_fn((3.0, 1.0)) != ()
     relay = next(e for e in without.edges if e.lower == servo.FILTER_NODE)
     assert relay.context_fn((3.0, 1.0)) == ()
+    for hierarchy in (with_ctx, without):
+        relay = next(e for e in hierarchy.edges if e.lower == servo.FILTER_NODE)
+        assert relay.task_param_fn is kernel.emit_nothing
+        physics = next(n for n in hierarchy.nodes if n.node_id == servo.PHYSICS_NODE)
+        assert physics.policies is kernel._IDLE_POLICIES
+        assert physics.policy_selector is kernel._select_idle
+        assert physics.initial_policy == "idle"
+
+
+def test_the_world_tags_come_from_the_world_nodes_own_spec(monkeypatch):
+    """Tags the demo derives itself may change; the world's tags are the world spec's."""
+
+    def prefixed(node_id):
+        return kernel.NodeValueSpaces(f"x-task:{node_id}", f"x-obs:{node_id}", f"x-ctx:{node_id}")
+
+    expected = servo.run_experiment(ServoParams(trials=2)).errors
+    monkeypatch.setattr(servo, "default_spaces", prefixed)
+    assert servo.run_experiment(ServoParams(trials=2)).errors == expected
 
 
 def test_hierarchies_validate():
