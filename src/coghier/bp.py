@@ -30,7 +30,6 @@ from .kernel import (
     EdgeTriple,
     Hierarchy,
     KernelError,
-    NodeValueSpaces,
     Tagged,
     default_spaces,
     make_world_node_spec,
@@ -122,9 +121,10 @@ class CausalTree:
 def tree_violations(tree: CausalTree) -> list[str]:
     """Structural checks; empty list means the tree is usable.
 
-    Processors are checked in :meth:`CausalTree.topological_ids` order, each
-    one's matrix against its parent's dimension; then a root parent link and
-    every processor the walk did not reach are reported.
+    A processor must be stored under its own id. Processors are checked in
+    :meth:`CausalTree.topological_ids` order, each one's matrix against its
+    parent's dimension; then a root parent link and every processor the walk
+    did not reach are reported.
     """
     bad: list[str] = []
     procs = tree.processors
@@ -132,6 +132,9 @@ def tree_violations(tree: CausalTree) -> list[str]:
         return [f"root {tree.root!r} is not a processor"]
     if WORLD_ID in procs:
         bad.append(f"processor id {WORLD_ID!r} is reserved for the world node")
+    for pid, p in procs.items():
+        if p.id != pid:
+            bad.append(f"processor {p.id!r} is stored under key {pid!r}")
     order = tree.topological_ids()
     with np.errstate(over="ignore", invalid="ignore"):  # a row of 1e308s or of inf and -inf
         for pid in order:
@@ -288,17 +291,27 @@ def encode(tree: CausalTree) -> Hierarchy:
     edges: list[EdgeTriple] = []
 
     for pid, p in procs.items():
-        obs_tag = spaces[pid].observation_space
-        nodes.append(_processor_node(p, len(tree.children[pid]), spaces[pid]))
-        edges.append(EdgeTriple(WORLD_ID, pid, _external_sensing_fn(p, obs_tag)))
-        for k, child_id in enumerate(tree.children[pid], start=1):
-            child = procs[child_id]
+        obs_tag, kids = spaces[pid].observation_space, tree.children[pid]
+        # Each slot starts as the no-evidence message, read by node-level updates on a fresh state.
+        slots = (np.full(p.feature_dim, 1.0 / p.feature_dim),) * (len(kids) + 1)
+        nodes.append(
+            CognitiveNodeSpec(
+                node_id=pid,
+                spaces=spaces[pid],
+                observation_update=_write_slots,
+                prediction_update=_take_context,
+                initial_belief=(slots, p.causal.copy()),
+            )
+        )
+        edges.append(EdgeTriple(WORLD_ID, pid, partial(_evidence, obs_tag, pid)))
+        for k, cid in enumerate(kids, start=1):
+            matrix, ctx_tag = procs[cid].cond_matrix, spaces[cid].context_space
             edges.append(
                 EdgeTriple(
-                    lower=child_id,
+                    lower=cid,
                     upper=pid,
-                    sensing_fn=_child_sensing_fn(obs_tag, k, child),
-                    context_fn=_context_fn(spaces[child_id].context_space, k, child),
+                    sensing_fn=partial(_upward, obs_tag, k, matrix, cid),
+                    context_fn=partial(_context, ctx_tag, k, matrix, cid),
                 )
             )
     return Hierarchy(nodes=tuple(nodes), world_node=WORLD_ID, edges=tuple(edges))
@@ -321,53 +334,34 @@ def _take_context(contexts: tuple, actions: tuple, belief: tuple) -> tuple:
     return belief[0], contexts[0]
 
 
-def _processor_node(p: Processor, m: int, spaces: NodeValueSpaces) -> CognitiveNodeSpec:
-    # Each slot starts as the no-evidence message, which node-level updates on a fresh state read.
-    initial = ((np.full(p.feature_dim, 1.0 / p.feature_dim),) * (m + 1), p.causal.copy())
-    return CognitiveNodeSpec(
-        node_id=p.id,
-        spaces=spaces,
-        observation_update=_write_slots,
-        prediction_update=_take_context,
-        initial_belief=initial,
-    )
+# The three edge messages; ``encode`` binds every argument but the last to each edge.
 
 
-def _external_sensing_fn(p: Processor, obs_tag: str):
-    def sensing(world_state: Mapping[str, np.ndarray]) -> tuple[Tagged, ...]:
-        vec = np.asarray(world_state[p.id], dtype=float)
-        return (Tagged(obs_tag, (0, _normalized(vec, "external input of {!r}", p.id))),)
-
-    return sensing
+def _evidence(tag: str, pid: str, world_state: Mapping[str, np.ndarray]) -> tuple[Tagged, ...]:
+    """Slot 0 of ``pid``: its external input, read from the world state."""
+    vec = np.asarray(world_state[pid], dtype=float)
+    return (Tagged(tag, (0, _normalized(vec, "external input of {!r}", pid))),)
 
 
-def _child_sensing_fn(obs_tag: str, k: int, child: Processor):
-    matrix = child.cond_matrix
+def _upward(tag: str, k: int, matrix: np.ndarray, cid: str, belief: tuple) -> tuple[Tagged, ...]:
+    """Slot k of the parent: child ``cid``'s diagnostic product carried through its matrix."""
+    slots, _causal = belief
+    prod = slots[0]
+    for slot in slots[1:]:
+        prod = prod * slot
+    msg = _normalized(matrix.dot(prod), "upward message from {!r}", cid)
+    return (Tagged(tag, (k, msg)),)
 
-    def sensing(belief: tuple) -> tuple[Tagged, ...]:
-        slots, _causal = belief
-        prod = slots[0]
-        for slot in slots[1:]:
+
+def _context(tag: str, k: int, matrix: np.ndarray, cid: str, belief: tuple) -> tuple[Tagged, ...]:
+    """Child ``cid``'s causal support: the parent's product without slot k, through its matrix."""
+    slots, causal = belief
+    prod = causal
+    for i, slot in enumerate(slots):
+        if i != k:
             prod = prod * slot
-        msg = _normalized(matrix.dot(prod), "upward message from {!r}", child.id)
-        return (Tagged(obs_tag, (k, msg)),)
-
-    return sensing
-
-
-def _context_fn(ctx_tag: str, k: int, child: Processor):
-    matrix = child.cond_matrix
-
-    def context(belief: tuple) -> tuple[Tagged, ...]:
-        slots, causal = belief
-        prod = causal
-        for i, slot in enumerate(slots):
-            if i != k:
-                prod = prod * slot
-        msg = _normalized(prod.dot(matrix), "context for {!r}", child.id)
-        return (Tagged(ctx_tag, msg),)
-
-    return context
+    msg = _normalized(prod.dot(matrix), "context for {!r}", cid)
+    return (Tagged(tag, msg),)
 
 
 def initial_world_state(tree: CausalTree) -> dict[str, np.ndarray]:
@@ -487,18 +481,15 @@ def random_tree(
         return m / m.sum(axis=1, keepdims=True)
 
     procs: dict[str, Processor] = {}
-    counter = 0
 
     def build(parent: str | None, depth: int) -> str:
-        nonlocal counter
-        if counter == MAX_RANDOM_PROCESSORS:
+        if len(procs) == MAX_RANDOM_PROCESSORS:
             raise ValueError(f"random tree would grow past {MAX_RANDOM_PROCESSORS} processors")
-        if (counter + 1) * n * n > MAX_RANDOM_MATRIX_ENTRIES:
+        if (len(procs) + 1) * n * n > MAX_RANDOM_MATRIX_ENTRIES:
             raise ValueError(
                 f"random tree matrices would hold more than {MAX_RANDOM_MATRIX_ENTRIES} entries"
             )
-        pid = f"P{counter}"
-        counter += 1
+        pid = f"P{len(procs)}"
         n_children = int(rng.integers(0, max_branching + 1)) if depth < max_depth else 0
         matrix = None if parent is None else rand_matrix()
         causal = rand_vec() if parent is None else None
@@ -537,7 +528,10 @@ def tree_from_document(doc: Any) -> CausalTree:
     """Tree of a parsed document; ``ValueError`` if a record is malformed.
 
     A matrix has one row per value of the parent and one column per value
-    of its own processor, so parent and child may differ in dimension.
+    of its own processor, so parent and child may differ in dimension. A
+    record carries ``id``, ``n``, ``parent`` and ``external_input``, plus
+    ``prior`` on the root or ``matrix`` on any other processor; any other
+    field is refused rather than ignored.
     """
     records = doc.get("processors") if isinstance(doc, dict) else None
     if not isinstance(records, list) or not records:
@@ -549,6 +543,10 @@ def tree_from_document(doc: Any) -> CausalTree:
             raise ValueError(f"bad processor record (needs 'id' and 'n'): {rec!r}")
         if not isinstance(rec["id"], str) or not isinstance(rec.get("parent"), (str, type(None))):
             raise ValueError(f"processor 'id' and 'parent' must be strings: {rec!r}")
+        role, own = ("root", "prior") if rec.get("parent") is None else ("non-root", "matrix")
+        if extra := [key for key in rec if key not in ("id", "n", "parent", "external_input", own)]:
+            fields = ", ".join(map(repr, extra))
+            raise ValueError(f"processor {rec['id']!r}: a {role} processor cannot carry {fields}")
         if rec["id"] in dims:
             raise ValueError(f"duplicate processor id {rec['id']!r}")
         n = rec["n"]
@@ -557,7 +555,7 @@ def tree_from_document(doc: Any) -> CausalTree:
                 f"processor {rec['id']!r}: 'n' must be an integer in [1, {MAX_FEATURE_DIM}]"
             )
         dims[rec["id"]] = n
-        if rec.get("parent") is None:
+        if role == "root":
             roots.append(rec["id"])
     if len(roots) != 1:
         raise ValueError(f"document must have exactly one root processor, found {len(roots)}")
@@ -583,7 +581,7 @@ def tree_from_document(doc: Any) -> CausalTree:
             feature_dim=n,
             parent=parent,
             cond_matrix=matrix,
-            causal=_numbers(rec, "prior") if parent is None else None,
+            causal=_numbers(rec, "prior"),
             external_input=_numbers(rec, "external_input"),
         )
     return CausalTree(processors=procs, root=roots[0])

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -213,10 +214,19 @@ def test_encode_leaf_has_single_slot():
 
 
 def test_encoded_nodes_share_the_kernels_one_idle_policy():
-    nodes = bp.encode(bp.thecat_tree()).nodes
+    """And the module's two node operators; each edge function binds one of its three messages."""
+    h = bp.encode(bp.thecat_tree())
     idle = kernel.make_world_node_spec("W")
-    assert all(spec.policies is idle.policies for spec in nodes)
-    assert all(spec.policy_selector is idle.policy_selector for spec in nodes)
+    assert all(spec.policies is idle.policies for spec in h.nodes)
+    assert all(spec.policy_selector is idle.policy_selector for spec in h.nodes)
+    processors = [spec for spec in h.nodes if spec.node_id != bp.WORLD_ID]
+    assert all(spec.observation_update is bp._write_slots for spec in processors)
+    assert all(spec.prediction_update is bp._take_context for spec in processors)
+    messages = {bp._evidence, bp._upward, bp._context}
+    for fn in (fn for e in h.edges for fn in (e.sensing_fn, e.task_param_fn, e.context_fn)):
+        assert fn is kernel.emit_nothing or (
+            isinstance(fn, functools.partial) and fn.func in messages
+        ), fn
 
 
 def test_a_processor_given_a_second_context_fails_its_tick():
@@ -574,6 +584,22 @@ def test_tree_document_rejects_malformed_records(record):
 
 
 @pytest.mark.parametrize(
+    ("root", "leaf", "message"),
+    [
+        ({}, {"prior": [1, 0]}, "'b': a non-root processor cannot carry 'prior'"),
+        ({"matrix": [1, 0, 0, 1]}, {}, "'a': a root processor cannot carry 'matrix'"),
+        ({}, {"extrenal_input": [1, 0]}, "'b': a non-root processor cannot carry 'extrenal_input'"),
+        ({"matrix": None, "x": 1}, {}, "'a': a root processor cannot carry 'matrix', 'x'"),
+    ],
+)
+def test_a_tree_record_refuses_every_field_the_loader_would_drop(root, leaf, message):
+    """A misplaced or misspelt field is refused, never silently ignored."""
+    leaf = {"id": "b", "n": 2, "parent": "a", "matrix": [0.5] * 4, **leaf}
+    with pytest.raises(ValueError, match=re.escape(f"processor {message}")):
+        bp.tree_from_document({"processors": [{"id": "a", "n": 2, **root}, leaf]})
+
+
+@pytest.mark.parametrize(
     ("parent_n", "matrix", "message"),
     [
         (2, [0.5] * 4 + [0.1], "processor 'b': 'matrix' must hold 2 x 2 = 4 numbers, got 5"),
@@ -702,6 +728,7 @@ def two_processor_tree(root=None, child=None):
         (None, {"parent": "x"}, "processor 'c' is not reachable from the root"),
         (None, {"cond_matrix": None}, "'c': non-root processor without a conditional matrix"),
         ({"parent": "c"}, None, "root 'r' has a parent link"),
+        ({"id": "x"}, None, "processor 'x' is stored under key 'r'"),
     ],
 )
 def test_tree_violations_name_each_structural_fault(root, child, violation):
@@ -733,6 +760,7 @@ def n1_under_an_absent_parent():
     [
         (n1_under_an_absent_parent(), "processor 'N1' is not reachable from the root"),
         (replace(bp.thecat_tree(), root="X"), "root 'X' is not a processor"),
+        (bp.CausalTree({"a": bp.Processor("b", 2)}, "a"), "processor 'b' is stored under key 'a'"),
     ],
 )
 def test_equivalence_check_refuses_an_ill_formed_tree_before_walking_it(tree, violation):

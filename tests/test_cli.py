@@ -111,6 +111,25 @@ def test_a_matrix_of_the_wrong_length_is_a_parse_error_naming_its_processor(
 
 
 @pytest.mark.parametrize("command", ["validate", "bp"])
+@pytest.mark.parametrize(
+    ("root", "leaf", "refused"),
+    [
+        ({}, {"prior": [1, 0]}, "'b': a non-root processor cannot carry 'prior'"),
+        ({"matrix": [1, 0, 0, 1]}, {}, "'a': a root processor cannot carry 'matrix'"),
+        ({}, {"extrenal_input": [1, 0]}, "'b': a non-root processor cannot carry 'extrenal_input'"),
+    ],
+)
+def test_a_field_the_tree_loader_would_drop_is_a_parse_error(
+    tmp_path, capsys, command, root, leaf, refused
+):
+    leaf = {"id": "b", "n": 2, "parent": "a", "matrix": [0.5, 0.5, 0.5, 0.5], **leaf}
+    doc = {"processors": [{"id": "a", "n": 2, **root}, leaf]}
+    path = write_json(tmp_path / "refused.json", doc)
+    start = f"parse error in {path}: processor {refused}"
+    assert_one_line_input_error([command, path], capsys, start)
+
+
+@pytest.mark.parametrize("command", ["validate", "bp"])
 def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
     """Bytes that are not UTF-8, and arrays nested too deep for the decoder's recursion."""
     for name, body in [
