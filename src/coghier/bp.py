@@ -60,14 +60,13 @@ class DegenerateBeliefError(KernelError):
 
 @dataclass(frozen=True)
 class Processor:
-    """One tree node: supports, conditional matrix, external evidence.
+    """One tree node, keyed by its id in a tree: supports, conditional matrix, external evidence.
 
     ``cond_matrix`` is required for every non-root processor and gives
     P(own value | parent value) with parent values indexing rows. The root
     carries its prior in ``causal``.
     """
 
-    id: str
     feature_dim: int
     parent: str | None = None
     cond_matrix: np.ndarray | None = None
@@ -88,17 +87,21 @@ class Processor:
 
 @dataclass(frozen=True)
 class CausalTree:
-    """Processors and the root; each processor's ``parent`` link is the tree's only shape."""
+    """Processors keyed by id; each one's ``parent`` link is the tree's only shape."""
 
     processors: Mapping[str, Processor]
-    root: str
+
+    @cached_property
+    def root(self) -> str | None:
+        """The first processor with no parent link; ``None`` when every processor has one."""
+        return next((pid for pid, p in self.processors.items() if p.parent is None), None)
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
-        """Each processor's children: the non-root processors whose parent names it, in order."""
+        """Each processor's children: the processors whose parent names it, in order."""
         kids: dict[str, list[str]] = {pid: [] for pid in self.processors}
         for pid, p in self.processors.items():
-            if pid != self.root and p.parent in kids:
+            if p.parent in kids:
                 kids[p.parent].append(pid)
         return {pid: tuple(ids) for pid, ids in kids.items()}
 
@@ -107,10 +110,11 @@ class CausalTree:
 
         Each processor has at most one parent and the root has none, so the
         walk meets no processor twice: one whose parent chain misses the root
-        (a dangling or cyclic link) is simply not visited.
+        (a dangling or cyclic link) is simply not visited. A tree with no
+        root walks nothing.
         """
         order: list[str] = []
-        stack = [self.root]
+        stack = [] if self.root is None else [self.root]
         while stack:
             pid = stack.pop()
             order.append(pid)
@@ -121,20 +125,17 @@ class CausalTree:
 def tree_violations(tree: CausalTree) -> list[str]:
     """Structural checks; empty list means the tree is usable.
 
-    A processor must be stored under its own id. Processors are checked in
+    A tree needs a processor with no parent link. Processors are checked in
     :meth:`CausalTree.topological_ids` order, each one's matrix against its
-    parent's dimension; then a root parent link and every processor the walk
-    did not reach are reported.
+    parent's dimension; then every processor the walk did not reach is
+    reported, a second parentless one among them.
     """
-    bad: list[str] = []
     procs = tree.processors
-    if tree.root not in procs:
-        return [f"root {tree.root!r} is not a processor"]
+    if tree.root is None:
+        return ["the tree has no root: every processor has a parent link"]
+    bad: list[str] = []
     if WORLD_ID in procs:
         bad.append(f"processor id {WORLD_ID!r} is reserved for the world node")
-    for pid, p in procs.items():
-        if p.id != pid:
-            bad.append(f"processor {p.id!r} is stored under key {pid!r}")
     order = tree.topological_ids()
     with np.errstate(over="ignore", invalid="ignore"):  # a row of 1e308s or of inf and -inf
         for pid in order:
@@ -164,8 +165,6 @@ def tree_violations(tree: CausalTree) -> list[str]:
                 bad.append(f"{pid!r}: conditional matrix rows do not sum to 1")
             elif (matrix < 0).any():
                 bad.append(f"{pid!r}: conditional matrix has negative entries")
-    if procs[tree.root].parent is not None:
-        bad.append(f"root {tree.root!r} has a parent link")
     for pid in sorted(set(procs) - set(order)):
         bad.append(f"processor {pid!r} is not reachable from the root")
     return bad
@@ -441,21 +440,21 @@ def thecat_tree() -> CausalTree:
     """
     eye = np.eye(2)
     procs = {
-        "N4": Processor(id="N4", feature_dim=2, causal=np.array([0.5, 0.5])),
+        "N4": Processor(feature_dim=2, causal=np.array([0.5, 0.5])),
         "N1": Processor(
-            id="N1", feature_dim=2, parent="N4", cond_matrix=eye,
+            feature_dim=2, parent="N4", cond_matrix=eye,
             external_input=np.array([0.0, 1.0]),
         ),
         "N2": Processor(
-            id="N2", feature_dim=2, parent="N4", cond_matrix=eye,
+            feature_dim=2, parent="N4", cond_matrix=eye,
             external_input=np.array([0.5, 0.5]),
         ),
         "N3": Processor(
-            id="N3", feature_dim=2, parent="N4", cond_matrix=eye,
+            feature_dim=2, parent="N4", cond_matrix=eye,
             external_input=np.array([0.0, 1.0]),
         ),
     }
-    return CausalTree(processors=procs, root="N4")
+    return CausalTree(processors=procs)
 
 
 def random_tree(
@@ -482,7 +481,7 @@ def random_tree(
 
     procs: dict[str, Processor] = {}
 
-    def build(parent: str | None, depth: int) -> str:
+    def build(parent: str | None, depth: int) -> None:
         if len(procs) == MAX_RANDOM_PROCESSORS:
             raise ValueError(f"random tree would grow past {MAX_RANDOM_PROCESSORS} processors")
         if (len(procs) + 1) * n * n > MAX_RANDOM_MATRIX_ENTRIES:
@@ -493,12 +492,12 @@ def random_tree(
         n_children = int(rng.integers(0, max_branching + 1)) if depth < max_depth else 0
         matrix = None if parent is None else rand_matrix()
         causal = rand_vec() if parent is None else None
-        procs[pid] = Processor(pid, n, parent, matrix, causal, rand_vec())
+        procs[pid] = Processor(n, parent, matrix, causal, rand_vec())
         for _ in range(n_children):
             build(pid, depth + 1)
-        return pid
 
-    return CausalTree(processors=procs, root=build(None, 0))
+    build(None, 0)
+    return CausalTree(processors=procs)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +510,7 @@ def tree_to_document(tree: CausalTree) -> dict:
     for pid in tree.topological_ids():
         p = tree.processors[pid]
         rec: dict = {
-            "id": p.id,
+            "id": pid,
             "n": p.feature_dim,
             "parent": p.parent,
             "external_input": [float(x) for x in p.external_input],
@@ -531,13 +530,16 @@ def tree_from_document(doc: Any) -> CausalTree:
     of its own processor, so parent and child may differ in dimension. A
     record carries ``id``, ``n``, ``parent`` and ``external_input``, plus
     ``prior`` on the root or ``matrix`` on any other processor; any other
-    field is refused rather than ignored.
+    field, and any top-level key but ``processors``, is refused rather than
+    ignored.
     """
     records = doc.get("processors") if isinstance(doc, dict) else None
     if not isinstance(records, list) or not records:
         raise ValueError("document must contain a non-empty 'processors' list")
+    if extra := [key for key in doc if key != "processors"]:
+        raise ValueError(f"a tree document cannot carry {', '.join(map(repr, extra))}")
     dims: dict[str, int] = {}
-    roots = []
+    roots = 0
     for rec in records:
         if not isinstance(rec, dict) or "id" not in rec or "n" not in rec:
             raise ValueError(f"bad processor record (needs 'id' and 'n'): {rec!r}")
@@ -555,10 +557,9 @@ def tree_from_document(doc: Any) -> CausalTree:
                 f"processor {rec['id']!r}: 'n' must be an integer in [1, {MAX_FEATURE_DIM}]"
             )
         dims[rec["id"]] = n
-        if role == "root":
-            roots.append(rec["id"])
-    if len(roots) != 1:
-        raise ValueError(f"document must have exactly one root processor, found {len(roots)}")
+        roots += role == "root"
+    if roots != 1:
+        raise ValueError(f"document must have exactly one root processor, found {roots}")
 
     procs: dict[str, Processor] = {}
     for rec in records:
@@ -577,14 +578,13 @@ def tree_from_document(doc: Any) -> CausalTree:
                 )
             matrix = flat.reshape(dims[parent], n)
         procs[pid] = Processor(
-            id=pid,
             feature_dim=n,
             parent=parent,
             cond_matrix=matrix,
             causal=_numbers(rec, "prior"),
             external_input=_numbers(rec, "external_input"),
         )
-    return CausalTree(processors=procs, root=roots[0])
+    return CausalTree(processors=procs)
 
 
 def _numbers(rec: dict, field: str) -> np.ndarray | None:

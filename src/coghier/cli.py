@@ -87,8 +87,8 @@ def _report_equivalence(name: str, tree: bp.CausalTree, tolerance: float) -> bp.
 
 
 def cmd_bp(args: argparse.Namespace) -> int:
-    if not args.path and args.random <= 0:
-        build_parser().error("bp needs a document path or --random N")
+    if bool(args.path) == (args.random > 0):
+        build_parser().error("bp needs a document path or --random N, not both")
     if not 0 <= args.tolerance < math.inf:
         raise _InputError("bad parameters: tolerance must be finite and non-negative")
     if args.seed < 0:

@@ -5,7 +5,7 @@ registered operator bundles, edges bound to registered function bundles,
 and a world node id. The operator bundles themselves are code, registered
 under string keys; documents only wire keys to topology.
 
-Document shape::
+Document shape, which refuses any other key::
 
     {
       "world_node": "N0",
@@ -74,6 +74,8 @@ def load_hierarchy_document(doc: Any, registry: OperatorRegistry | None = None) 
         edge_records = doc["edges"]
     except KeyError as exc:
         raise DocumentError(f"hierarchy document is missing {exc.args[0]!r}") from None
+    if extra := [key for key in doc if key not in ("world_node", "nodes", "edges")]:
+        raise DocumentError(f"a hierarchy document cannot carry {', '.join(map(repr, extra))}")
     if not isinstance(node_records, list) or not isinstance(edge_records, list):
         raise DocumentError("'nodes' and 'edges' must be lists")
     if not isinstance(world, str):
@@ -96,13 +98,17 @@ def load_hierarchy_document(doc: Any, registry: OperatorRegistry | None = None) 
 
 
 def _string_fields(rec: Any, what: str, *names: str) -> list[str]:
-    """The named fields of a document record, each of which must be a string."""
+    """The named fields of a document record, each a string; any other field is refused."""
     try:
         values = [rec[name] for name in names]
     except (TypeError, KeyError):
         raise DocumentError(f"bad {what} record: {rec!r}") from None
     if not all(isinstance(value, str) for value in values):
         raise DocumentError(f"bad {what} record: {', '.join(names)} must be strings: {rec!r}")
+    if extra := [key for key in rec if key not in names]:
+        subject = " -> ".join(map(repr, values[:-1]))  # a node's id, an edge's lower and upper
+        fields = ", ".join(map(repr, extra))
+        raise DocumentError(f"{what} {subject}: the record cannot carry {fields}")
     return values
 
 

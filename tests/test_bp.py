@@ -10,7 +10,7 @@ import math
 import re
 import signal
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import oracles
@@ -34,14 +34,13 @@ def make_tree(parents, n, rng):
     for i, pid in enumerate(ids):
         parent = None if i == 0 else ids[parents[i - 1]]
         procs[pid] = bp.Processor(
-            id=pid,
             feature_dim=n,
             parent=parent,
             cond_matrix=None if parent is None else rand_matrix(),
             causal=rng.uniform(0.05, 1.0, n) if parent is None else None,
             external_input=rng.uniform(0.05, 1.0, n),
         )
-    return bp.CausalTree(processors=procs, root=ids[0])
+    return bp.CausalTree(processors=procs)
 
 
 def all_parent_vectors(size):
@@ -75,11 +74,11 @@ def test_propagation_matches_enumeration_exhaustively(size, n):
 def test_uniform_everything_gives_uniform_beliefs():
     eye = np.eye(2)
     procs = {
-        "root": bp.Processor(id="root", feature_dim=2),
-        "a": bp.Processor(id="a", feature_dim=2, parent="root", cond_matrix=eye),
-        "b": bp.Processor(id="b", feature_dim=2, parent="root", cond_matrix=eye),
+        "root": bp.Processor(feature_dim=2),
+        "a": bp.Processor(feature_dim=2, parent="root", cond_matrix=eye),
+        "b": bp.Processor(feature_dim=2, parent="root", cond_matrix=eye),
     }
-    table = bp.bp_propagate(bp.CausalTree(processors=procs, root="root"))
+    table = bp.bp_propagate(bp.CausalTree(processors=procs))
     for vec in table.beliefs.values():
         np.testing.assert_allclose(vec, [0.5, 0.5], atol=1e-15)
 
@@ -94,17 +93,17 @@ def test_word_demo_beliefs():
 def test_contradictory_evidence_is_degenerate():
     eye = np.eye(2)
     procs = {
-        "root": bp.Processor(id="root", feature_dim=2),
+        "root": bp.Processor(feature_dim=2),
         "a": bp.Processor(
-            id="a", feature_dim=2, parent="root", cond_matrix=eye,
+            feature_dim=2, parent="root", cond_matrix=eye,
             external_input=np.array([1.0, 0.0]),
         ),
         "b": bp.Processor(
-            id="b", feature_dim=2, parent="root", cond_matrix=eye,
+            feature_dim=2, parent="root", cond_matrix=eye,
             external_input=np.array([0.0, 1.0]),
         ),
     }
-    tree = bp.CausalTree(processors=procs, root="root")
+    tree = bp.CausalTree(processors=procs)
     table = bp.bp_propagate(tree)
     assert table.degenerate
     report = bp.equivalence_check(tree)
@@ -118,17 +117,15 @@ def _zero_product_cases():
     zero_n1 = {**bp.initial_world_state(thecat), "N1": np.zeros(2)}
     collapsing_child = bp.CausalTree(
         {
-            "R": bp.Processor("R", 2),
-            "C": bp.Processor("C", 2, "R", [[1, 0], [1, 0]], external_input=[0, 1]),
-        },
-        "R",
+            "R": bp.Processor(2),
+            "C": bp.Processor(2, "R", [[1, 0], [1, 0]], external_input=[0, 1]),
+        }
     )
     opposed_root = bp.CausalTree(
         {
-            "R": bp.Processor("R", 2, causal=[1, 0], external_input=[0, 1]),
-            "C": bp.Processor("C", 2, "R", np.eye(2)),
-        },
-        "R",
+            "R": bp.Processor(2, causal=[1, 0], external_input=[0, 1]),
+            "C": bp.Processor(2, "R", np.eye(2)),
+        }
     )
     return [
         (thecat, zero_n1, "external input of 'N1'"),
@@ -316,12 +313,7 @@ def test_equivalence_on_word_demo():
 
 def test_equivalence_single_processor_is_exact():
     tree = bp.CausalTree(
-        processors={
-            "only": bp.Processor(
-                id="only", feature_dim=3, external_input=np.array([0.2, 0.5, 0.3])
-            )
-        },
-        root="only",
+        processors={"only": bp.Processor(feature_dim=3, external_input=np.array([0.2, 0.5, 0.3]))}
     )
     report = bp.equivalence_check(tree)
     assert report.passed
@@ -359,19 +351,19 @@ def test_two_level_random_tree_single_tick_matches_oracle():
     m2 = m2 / m2.sum(axis=1, keepdims=True)
     procs = {
         "r": bp.Processor(
-            id="r", feature_dim=n,
+            feature_dim=n,
             causal=rng.uniform(0.05, 1, n), external_input=rng.uniform(0.05, 1, n),
         ),
         "c1": bp.Processor(
-            id="c1", feature_dim=n, parent="r", cond_matrix=m,
+            feature_dim=n, parent="r", cond_matrix=m,
             external_input=rng.uniform(0.05, 1, n),
         ),
         "c2": bp.Processor(
-            id="c2", feature_dim=n, parent="r", cond_matrix=m2,
+            feature_dim=n, parent="r", cond_matrix=m2,
             external_input=rng.uniform(0.05, 1, n),
         ),
     }
-    tree = bp.CausalTree(processors=procs, root="r")
+    tree = bp.CausalTree(processors=procs)
     oracle = bp.bp_propagate(tree)
     ah = kernel.init_active(bp.encode(tree), bp.initial_world_state(tree))
     ah = kernel.process_update(ah)
@@ -556,6 +548,17 @@ def test_tree_document_roundtrip():
     np.testing.assert_allclose(table.beliefs["N2"], [0.0, 1.0])
 
 
+def test_a_tree_is_its_processors_keyed_by_id_and_its_root_is_the_first_without_a_parent():
+    assert [f.name for f in fields(bp.CausalTree)] == ["processors"]
+    assert "id" not in [f.name for f in fields(bp.Processor)]
+    eye = np.eye(2)
+    procs = {"c": bp.Processor(2, "a", eye), "a": bp.Processor(2), "b": bp.Processor(2)}
+    tree = bp.CausalTree(procs)
+    assert tree.root == "a" and tree.topological_ids() == ("a", "c")
+    assert bp.tree_violations(tree) == ["processor 'b' is not reachable from the root"]
+    assert [rec["id"] for rec in bp.tree_to_document(tree)["processors"]] == ["a", "c"]
+
+
 def test_tree_document_requires_single_root():
     doc = {
         "processors": [
@@ -629,7 +632,7 @@ def test_tree_violations_flag_all_zero_evidence_and_prior():
     procs["N2"] = replace(procs["N2"], external_input=np.zeros(2))
     procs["N4"] = replace(procs["N4"], causal=np.zeros(2))
     procs["N1"] = replace(procs["N1"], causal=np.zeros(2))  # overwritten by context: allowed
-    bad = bp.tree_violations(bp.CausalTree(processors=procs, root="N4"))
+    bad = bp.tree_violations(bp.CausalTree(processors=procs))
     assert sorted(bad) == [
         "'N2': external_input is all zero, so no value can have support",
         "'N4': causal is all zero, so no value can have support",
@@ -702,18 +705,18 @@ def test_random_tree_draws_are_pinned(seed, depth, digest):
 def test_tree_violations_catch_bad_matrix():
     eye_bad = np.array([[1.0, 0.1], [0.0, 1.0]])
     procs = {
-        "r": bp.Processor(id="r", feature_dim=2),
-        "c": bp.Processor(id="c", feature_dim=2, parent="r", cond_matrix=eye_bad),
+        "r": bp.Processor(feature_dim=2),
+        "c": bp.Processor(feature_dim=2, parent="r", cond_matrix=eye_bad),
     }
-    tree = bp.CausalTree(processors=procs, root="r")
+    tree = bp.CausalTree(processors=procs)
     assert any("sum to 1" in v for v in bp.tree_violations(tree))
 
 
 def two_processor_tree(root=None, child=None):
     """Root ``r`` over the leaf ``c`` by an identity matrix; ``root``, ``child`` replace fields."""
-    r = bp.Processor(id="r", feature_dim=2)
-    c = bp.Processor(id="c", feature_dim=2, parent="r", cond_matrix=np.eye(2))
-    return bp.CausalTree({"r": replace(r, **root or {}), "c": replace(c, **child or {})}, "r")
+    r = bp.Processor(feature_dim=2)
+    c = bp.Processor(feature_dim=2, parent="r", cond_matrix=np.eye(2))
+    return bp.CausalTree({"r": replace(r, **root or {}), "c": replace(c, **child or {})})
 
 
 @pytest.mark.parametrize(
@@ -727,8 +730,11 @@ def two_processor_tree(root=None, child=None):
         (None, {"cond_matrix": [[1.5, -0.5], [0, 1]]}, "'c': conditional matrix has negative entries"),
         (None, {"parent": "x"}, "processor 'c' is not reachable from the root"),
         (None, {"cond_matrix": None}, "'c': non-root processor without a conditional matrix"),
-        ({"parent": "c"}, None, "root 'r' has a parent link"),
-        ({"id": "x"}, None, "processor 'x' is stored under key 'r'"),
+        (
+            {"parent": "c"},
+            None,
+            "the tree has no root: every processor has a parent link",
+        ),
     ],
 )
 def test_tree_violations_name_each_structural_fault(root, child, violation):
@@ -748,19 +754,18 @@ def test_a_conditional_matrix_row_that_holds_nan_does_not_sum_to_1(row):
         bp.equivalence_check(tree)
 
 
-def n1_under_an_absent_parent():
-    """The word/letter tree whose ``N1`` names a parent that is not a processor."""
+def thecat_with_parent(pid, parent):
+    """The word/letter tree with processor ``pid``'s parent link set to ``parent``."""
     tree = bp.thecat_tree()
-    n1 = replace(tree.processors["N1"], parent="N9")
-    return replace(tree, processors={**tree.processors, "N1": n1})
+    moved = replace(tree.processors[pid], parent=parent)
+    return bp.CausalTree({**tree.processors, pid: moved})
 
 
 @pytest.mark.parametrize(
     "tree, violation",
     [
-        (n1_under_an_absent_parent(), "processor 'N1' is not reachable from the root"),
-        (replace(bp.thecat_tree(), root="X"), "root 'X' is not a processor"),
-        (bp.CausalTree({"a": bp.Processor("b", 2)}, "a"), "processor 'b' is stored under key 'a'"),
+        (thecat_with_parent("N1", "N9"), "processor 'N1' is not reachable from the root"),
+        (thecat_with_parent("N4", "N1"), "the tree has no root: every processor has a parent link"),
     ],
 )
 def test_equivalence_check_refuses_an_ill_formed_tree_before_walking_it(tree, violation):
@@ -790,11 +795,11 @@ def within_a_second():
 def test_a_cyclic_mapping_is_refused_rather_than_walked_forever(walk):
     eye = np.eye(2)
     procs = {
-        "r": bp.Processor(id="r", feature_dim=2),
-        "a": bp.Processor(id="a", feature_dim=2, parent="b", cond_matrix=eye),
-        "b": bp.Processor(id="b", feature_dim=2, parent="a", cond_matrix=eye),
+        "r": bp.Processor(feature_dim=2),
+        "a": bp.Processor(feature_dim=2, parent="b", cond_matrix=eye),
+        "b": bp.Processor(feature_dim=2, parent="a", cond_matrix=eye),
     }
-    tree = bp.CausalTree(processors=procs, root="r")
+    tree = bp.CausalTree(processors=procs)
     assert bp.tree_violations(tree) == [
         "processor 'a' is not reachable from the root",
         "processor 'b' is not reachable from the root",
@@ -811,21 +816,31 @@ PARENT_MAP_IDS = ("P0", "P1", "P2", "P3", "P4", "P5")
     parents=st.lists(
         st.sampled_from(PARENT_MAP_IDS + (None, "ghost")), min_size=1, max_size=len(PARENT_MAP_IDS)
     ),
-    root=st.integers(0, len(PARENT_MAP_IDS) - 1),
 )
-def test_children_and_the_one_walk_follow_arbitrary_parent_links(parents, root):
-    """Any parent map, dangling and cyclic links included: one walk, each processor once."""
+def test_children_and_the_one_walk_follow_arbitrary_parent_links(parents):
+    """Any parent map, dangling and cyclic links included: one walk, each processor once.
+
+    The root is the first processor without a parent link; a map with none walks nothing.
+    """
     ids = PARENT_MAP_IDS[: len(parents)]
-    root = ids[root % len(ids)]
     eye = np.eye(2)
     procs = {
-        pid: bp.Processor(pid, 2, parent, cond_matrix=None if pid == root else eye)
+        pid: bp.Processor(2, parent, cond_matrix=None if parent is None else eye)
         for pid, parent in zip(ids, parents)
     }
-    tree = bp.CausalTree(processors=procs, root=root)
+    tree = bp.CausalTree(processors=procs)
     with within_a_second():
         order = tree.topological_ids()
         violations = bp.tree_violations(tree)
+    assert list(tree.children) == list(ids)
+    for pid in ids:
+        assert tree.children[pid] == tuple(c for c in ids if procs[c].parent == pid)
+    if None not in parents:
+        assert tree.root is None and order == ()
+        assert violations == ["the tree has no root: every processor has a parent link"]
+        return
+    root = ids[parents.index(None)]
+    assert tree.root == root
     assert order[0] == root and len(order) == len(set(order)) and set(order) <= set(ids)
 
     def reaches_root(pid):
@@ -838,12 +853,6 @@ def test_children_and_the_one_walk_follow_arbitrary_parent_links(parents, root):
     for pid in ids:
         unreachable = f"processor {pid!r} is not reachable from the root" in violations
         assert unreachable == (not reaches_root(pid)) == (pid not in order)
-
-    assert list(tree.children) == list(ids)
-    for pid in ids:
-        assert tree.children[pid] == tuple(
-            c for c in ids if c != root and procs[c].parent == pid
-        )
 
 
 def test_beliefs_document_is_json_ready():

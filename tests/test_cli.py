@@ -130,6 +130,47 @@ def test_a_field_the_tree_loader_would_drop_is_a_parse_error(
 
 
 @pytest.mark.parametrize("command", ["validate", "bp"])
+@pytest.mark.parametrize(
+    ("extra", "refused"),
+    [
+        ({"nodes": [], "edges": [], "world_node": "N0"}, "'nodes', 'edges', 'world_node'"),
+        ({"processor": []}, "'processor'"),
+    ],
+)
+def test_a_tree_document_carrying_another_top_level_key_is_a_parse_error(
+    tmp_path, capsys, command, extra, refused
+):
+    doc = {**bp.tree_to_document(bp.thecat_tree()), **extra}
+    path = write_json(tmp_path / "both.json", doc)
+    start = f"parse error in {path}: a tree document cannot carry {refused}\n"
+    assert_one_line_input_error([command, path], capsys, start)
+
+
+def misspell(records, index, key):
+    """Add the misspelt ``key`` to record ``index`` of the word/letter hierarchy's ``records``."""
+
+    def mutate(doc):
+        doc[records][index][key] = "x"
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    ("mutate", "refused"),
+    [
+        (lambda doc: doc.update(edge=[]), "a hierarchy document cannot carry 'edge'"),
+        (misspell("nodes", 1, "operator"), "node 'N1': the record cannot carry 'operator'"),
+        (misspell("edges", 0, "function"), "edge 'N0' -> 'N1': the record cannot carry 'function'"),
+    ],
+)
+def test_a_hierarchy_key_the_loader_would_drop_is_a_parse_error(tmp_path, capsys, mutate, refused):
+    doc = documents.demo_document("thecat")
+    mutate(doc)
+    path = write_json(tmp_path / "misspelt.json", doc)
+    assert_one_line_input_error(["validate", path], capsys, f"parse error in {path}: {refused}\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "bp"])
 def test_undecodable_document_is_parse_error(tmp_path, capsys, command):
     """Bytes that are not UTF-8, and arrays nested too deep for the decoder's recursion."""
     for name, body in [
@@ -477,6 +518,12 @@ def test_repeated_calls_share_one_parser_and_leak_nothing(thecat_tree_doc, capsy
 
 def test_bp_requires_input():
     assert main(["bp"]) == 2
+
+
+def test_bp_takes_a_document_path_or_random_trees_not_both(thecat_tree_doc, capsys):
+    argv = ["bp", thecat_tree_doc, "--random", "3", "--seed", "5", "--max-depth", "9"]
+    start = "coghier: error: bp needs a document path or --random N, not both\n"
+    assert_one_line_input_error(argv, capsys, start)
 
 
 def test_bp_negative_tolerance_is_input_error(thecat_tree_doc):

@@ -1,5 +1,7 @@
 """Document loading: registries, topology wiring, kind detection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,27 @@ def test_non_string_fields_rejected_at_parse_time():
         doc[records][0][field] = {"not": "a string"}
         with pytest.raises(documents.DocumentError, match="must be strings"):
             documents.load_hierarchy_document(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc.update(processors=[]), "a hierarchy document cannot carry 'processors'"),
+        (
+            lambda doc: doc["nodes"][0].update(operator="x", Id="y"),
+            "node 'N0': the record cannot carry 'operator', 'Id'",
+        ),
+        (
+            lambda doc: doc["edges"][0].update(upper2="N2"),
+            "edge 'N0' -> 'N1': the record cannot carry 'upper2'",
+        ),
+    ],
+)
+def test_a_key_the_loader_would_drop_is_refused(mutate, message):
+    doc = documents.demo_document("thecat")
+    mutate(doc)
+    with pytest.raises(documents.DocumentError, match=f"^{re.escape(message)}$"):
+        documents.load_hierarchy_document(doc)
 
 
 def test_document_kind_detection():

@@ -45,14 +45,13 @@ def mixed_dimension_trees(draw, max_nodes=6):
             matrix = rng.uniform(0.05, 1.0, (dims[parent], dims[i]))
             matrix = matrix / matrix.sum(axis=1, keepdims=True)
         procs[pid] = bp.Processor(
-            id=pid,
             feature_dim=dims[i],
             parent=None if parent is None else ids[parent],
             cond_matrix=matrix,
             causal=rng.uniform(0.05, 1.0, dims[i]) if parent is None else None,
             external_input=rng.uniform(0.05, 1.0, dims[i]),
         )
-    return bp.CausalTree(processors=procs, root=ids[0])
+    return bp.CausalTree(processors=procs)
 
 
 def run_cli(argv):
