@@ -3,7 +3,10 @@
 ``bp_propagate`` is the reference engine: one message pass up the tree and
 one pass down, after Pearl. ``encode`` turns the same tree into a
 :mod:`coghier.kernel` hierarchy whose single-tick behaviour reproduces those
-beliefs; ``equivalence_check`` runs both and compares.
+beliefs; ``equivalence_check`` runs both and compares. Each of them, and
+:func:`coghier.documents.tree_to_document`, reads a tree only through
+:attr:`CausalTree.checked_ids`, so an ill-formed tree is refused with one
+``ValueError``, checked once per tree.
 
 Conventions: a processor's conditional matrix ``M`` has rows indexed by
 parent values and columns by its own values, with rows summing to one, so
@@ -17,10 +20,9 @@ rather than divided by zero.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -104,6 +106,13 @@ class CausalTree:
             if p.parent in kids:
                 kids[p.parent].append(pid)
         return {pid: tuple(ids) for pid, ids in kids.items()}
+
+    @cached_property
+    def checked_ids(self) -> tuple[str, ...]:
+        """:meth:`topological_ids` once :func:`tree_violations` passes; else ``ValueError``."""
+        if bad := tree_violations(self):
+            raise ValueError("; ".join(bad))
+        return self.topological_ids()
 
     def topological_ids(self) -> tuple[str, ...]:
         """The processors reachable from the root, depth first, parents before children.
@@ -218,10 +227,11 @@ def bp_propagate(tree: CausalTree) -> BeliefTable:
     and causal support, carried through its own conditional matrix. Belief
     is the normalised product of total diagnostic and causal support. Each
     external input is normalised once, as the embedding's sensing edges do,
-    so subnormal evidence does not underflow to a zero product.
+    so subnormal evidence does not underflow to a zero product. An
+    ill-formed tree raises ``ValueError``, as in :func:`encode`.
     """
+    order = tree.checked_ids
     procs, children = tree.processors, tree.children
-    order = tree.topological_ids()
 
     def unit(vec: np.ndarray) -> np.ndarray:
         normed = _normalize(vec)
@@ -282,8 +292,7 @@ def encode(tree: CausalTree) -> Hierarchy:
     world node :data:`WORLD_ID` holds each processor's external input vector.
     An ill-formed tree raises ``ValueError``: its violations joined by "; ".
     """
-    if bad := tree_violations(tree):
-        raise ValueError("; ".join(bad))
+    tree.checked_ids  # refuses an ill-formed tree, once per tree
     procs = tree.processors
     spaces = {pid: default_spaces(pid) for pid in procs}
     nodes: list[CognitiveNodeSpec] = [make_world_node_spec(WORLD_ID)]
@@ -498,102 +507,3 @@ def random_tree(
 
     build(None, 0)
     return CausalTree(processors=procs)
-
-
-# ---------------------------------------------------------------------------
-# Document format
-
-
-def tree_to_document(tree: CausalTree) -> dict:
-    """JSON-ready description: one record per processor, row-major matrix."""
-    records = []
-    for pid in tree.topological_ids():
-        p = tree.processors[pid]
-        rec: dict = {
-            "id": pid,
-            "n": p.feature_dim,
-            "parent": p.parent,
-            "external_input": [float(x) for x in p.external_input],
-        }
-        if p.parent is None:
-            rec["prior"] = [float(x) for x in p.causal]
-        else:
-            rec["matrix"] = [float(x) for x in p.cond_matrix.reshape(-1)]
-        records.append(rec)
-    return {"processors": records}
-
-
-def tree_from_document(doc: Any) -> CausalTree:
-    """Tree of a parsed document; ``ValueError`` if a record is malformed.
-
-    A matrix has one row per value of the parent and one column per value
-    of its own processor, so parent and child may differ in dimension. A
-    record carries ``id``, ``n``, ``parent`` and ``external_input``, plus
-    ``prior`` on the root or ``matrix`` on any other processor; any other
-    field, and any top-level key but ``processors``, is refused rather than
-    ignored.
-    """
-    records = doc.get("processors") if isinstance(doc, dict) else None
-    if not isinstance(records, list) or not records:
-        raise ValueError("document must contain a non-empty 'processors' list")
-    if extra := [key for key in doc if key != "processors"]:
-        raise ValueError(f"a tree document cannot carry {', '.join(map(repr, extra))}")
-    dims: dict[str, int] = {}
-    roots = 0
-    for rec in records:
-        if not isinstance(rec, dict) or "id" not in rec or "n" not in rec:
-            raise ValueError(f"bad processor record (needs 'id' and 'n'): {rec!r}")
-        if not isinstance(rec["id"], str) or not isinstance(rec.get("parent"), (str, type(None))):
-            raise ValueError(f"processor 'id' and 'parent' must be strings: {rec!r}")
-        role, own = ("root", "prior") if rec.get("parent") is None else ("non-root", "matrix")
-        if extra := [key for key in rec if key not in ("id", "n", "parent", "external_input", own)]:
-            fields = ", ".join(map(repr, extra))
-            raise ValueError(f"processor {rec['id']!r}: a {role} processor cannot carry {fields}")
-        if rec["id"] in dims:
-            raise ValueError(f"duplicate processor id {rec['id']!r}")
-        n = rec["n"]
-        if type(n) is not int or not 1 <= n <= MAX_FEATURE_DIM:
-            raise ValueError(
-                f"processor {rec['id']!r}: 'n' must be an integer in [1, {MAX_FEATURE_DIM}]"
-            )
-        dims[rec["id"]] = n
-        roots += role == "root"
-    if roots != 1:
-        raise ValueError(f"document must have exactly one root processor, found {roots}")
-
-    procs: dict[str, Processor] = {}
-    for rec in records:
-        pid, n, parent = rec["id"], rec["n"], rec.get("parent")
-        matrix = None
-        if parent is not None:
-            flat = _numbers(rec, "matrix")
-            if flat is None:
-                raise ValueError(f"processor {pid!r} needs a conditional matrix")
-            if parent not in dims:
-                raise ValueError(f"processor {pid!r} names an unknown parent {parent!r}")
-            if flat.size != dims[parent] * n:
-                raise ValueError(
-                    f"processor {pid!r}: 'matrix' must hold {dims[parent]} x {n} = "
-                    f"{dims[parent] * n} numbers, got {flat.size}"
-                )
-            matrix = flat.reshape(dims[parent], n)
-        procs[pid] = Processor(
-            feature_dim=n,
-            parent=parent,
-            cond_matrix=matrix,
-            causal=_numbers(rec, "prior"),
-            external_input=_numbers(rec, "external_input"),
-        )
-    return CausalTree(processors=procs)
-
-
-def _numbers(rec: dict, field: str) -> np.ndarray | None:
-    """A record's list of finite numbers as a vector; None if the field is absent or null."""
-    value = rec.get(field)
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(
-        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value
-    ):
-        raise ValueError(f"processor {rec['id']!r}: {field!r} must be a list of finite numbers")
-    return np.asarray(value, dtype=float)

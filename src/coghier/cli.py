@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: ``validate`` checks a hierarchy or causal-tree document,
+Subcommands: ``validate`` checks a hierarchy or causal-tree document
+(both formats are read by :mod:`coghier.documents`),
 ``bp`` runs the tree-versus-hierarchy equivalence suite, ``servo`` runs the
 tracking experiment. Exit codes: 0 success, 1 semantic failure (validation
 violations, equivalence failures, missing context dominance), 2 input
@@ -59,7 +60,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     with _relabel(f"parse error in {args.path}"):
         kind = documents.document_kind(doc)
         if kind == "tree":
-            violations = bp.tree_violations(bp.tree_from_document(doc))
+            violations = bp.tree_violations(documents.tree_from_document(doc))
         else:
             violations = kernel.validate(documents.load_hierarchy_document(doc))
 
@@ -96,7 +97,7 @@ def cmd_bp(args: argparse.Namespace) -> int:
 
     if args.path:
         with _relabel(f"parse error in {args.path}"):
-            tree = bp.tree_from_document(_load_json(args.path))
+            tree = documents.tree_from_document(_load_json(args.path))
         with _relabel(f"invalid tree in {args.path}"):
             report = _report_equivalence(os.path.basename(args.path), tree, args.tolerance)
         for pid in sorted(report.reference):

@@ -1,11 +1,14 @@
-"""Declarative hierarchy documents.
+"""Both JSON document formats: hierarchies and causal trees.
 
 A hierarchy's topology can be described in JSON: node ids bound to
 registered operator bundles, edges bound to registered function bundles,
 and a world node id. The operator bundles themselves are code, registered
-under string keys; documents only wire keys to topology.
+under string keys; documents only wire keys to topology. A causal tree's
+document lists its processors' records (:func:`tree_from_document`). Each
+loader refuses any key it would not read, and :func:`tree_to_document`
+any tree that :func:`bp.tree_violations` refuses.
 
-Document shape, which refuses any other key::
+Hierarchy document shape::
 
     {
       "world_node": "N0",
@@ -16,7 +19,10 @@ Document shape, which refuses any other key::
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable
+
+import numpy as np
 
 from . import bp, servo
 from .kernel import (
@@ -74,8 +80,7 @@ def load_hierarchy_document(doc: Any, registry: OperatorRegistry | None = None) 
         edge_records = doc["edges"]
     except KeyError as exc:
         raise DocumentError(f"hierarchy document is missing {exc.args[0]!r}") from None
-    if extra := [key for key in doc if key not in ("world_node", "nodes", "edges")]:
-        raise DocumentError(f"a hierarchy document cannot carry {', '.join(map(repr, extra))}")
+    _refuse_extra(doc, ("world_node", "nodes", "edges"), "a hierarchy document")
     if not isinstance(node_records, list) or not isinstance(edge_records, list):
         raise DocumentError("'nodes' and 'edges' must be lists")
     if not isinstance(world, str):
@@ -105,11 +110,103 @@ def _string_fields(rec: Any, what: str, *names: str) -> list[str]:
         raise DocumentError(f"bad {what} record: {rec!r}") from None
     if not all(isinstance(value, str) for value in values):
         raise DocumentError(f"bad {what} record: {', '.join(names)} must be strings: {rec!r}")
-    if extra := [key for key in rec if key not in names]:
-        subject = " -> ".join(map(repr, values[:-1]))  # a node's id, an edge's lower and upper
-        fields = ", ".join(map(repr, extra))
-        raise DocumentError(f"{what} {subject}: the record cannot carry {fields}")
+    if len(rec) > len(names):  # another key, so name the node's id or the edge's ends
+        _refuse_extra(rec, names, "{} {}: the record", what, " -> ".join(map(repr, values[:-1])))
     return values
+
+
+def _refuse_extra(rec: dict, allowed: tuple[str, ...], subject: str, *args: Any) -> None:
+    """Refuse each key of ``rec`` not in ``allowed``; ``subject.format(*args)`` only then."""
+    if extra := [key for key in rec if key not in allowed]:
+        raise DocumentError(f"{subject.format(*args)} cannot carry {', '.join(map(repr, extra))}")
+
+
+def tree_to_document(tree: bp.CausalTree) -> dict:
+    """JSON-ready records, one per processor in its ``checked_ids`` order; matrices row-major."""
+    records = []
+    for pid in tree.checked_ids:
+        p = tree.processors[pid]
+        rec: dict = {
+            "id": pid,
+            "n": p.feature_dim,
+            "parent": p.parent,
+            "external_input": [float(x) for x in p.external_input],
+        }
+        if p.parent is None:
+            rec["prior"] = [float(x) for x in p.causal]
+        else:
+            rec["matrix"] = [float(x) for x in p.cond_matrix.reshape(-1)]
+        records.append(rec)
+    return {"processors": records}
+
+
+def tree_from_document(doc: Any) -> bp.CausalTree:
+    """Tree of a parsed document; ``DocumentError`` if a record is malformed.
+
+    A matrix has one row per value of the parent and one column per value
+    of its own processor, so parent and child may differ in dimension. A
+    record carries ``id``, ``n``, ``parent`` and ``external_input``, plus
+    ``prior`` on the root or ``matrix`` on any other processor; any other
+    field, and any top-level key but ``processors``, is refused rather than
+    ignored.
+    """
+    records = doc.get("processors") if isinstance(doc, dict) else None
+    if not isinstance(records, list) or not records:
+        raise DocumentError("document must contain a non-empty 'processors' list")
+    _refuse_extra(doc, ("processors",), "a tree document")
+    dims: dict[str, int] = {}
+    roots = 0
+    for rec in records:
+        if not isinstance(rec, dict) or "id" not in rec or "n" not in rec:
+            raise DocumentError(f"bad processor record (needs 'id' and 'n'): {rec!r}")
+        if not isinstance(rec["id"], str) or not isinstance(rec.get("parent"), (str, type(None))):
+            raise DocumentError(f"processor 'id' and 'parent' must be strings: {rec!r}")
+        role, own = ("root", "prior") if rec.get("parent") is None else ("non-root", "matrix")
+        allowed = ("id", "n", "parent", "external_input", own)
+        _refuse_extra(rec, allowed, "processor {!r}: a {} processor", rec["id"], role)
+        if rec["id"] in dims:
+            raise DocumentError(f"duplicate processor id {rec['id']!r}")
+        n = rec["n"]
+        if type(n) is not int or not 1 <= n <= bp.MAX_FEATURE_DIM:
+            raise DocumentError(
+                f"processor {rec['id']!r}: 'n' must be an integer in [1, {bp.MAX_FEATURE_DIM}]"
+            )
+        dims[rec["id"]] = n
+        roots += role == "root"
+    if roots != 1:
+        raise DocumentError(f"document must have exactly one root processor, found {roots}")
+
+    procs: dict[str, bp.Processor] = {}
+    for rec in records:
+        pid, n, parent = rec["id"], rec["n"], rec.get("parent")
+        matrix = None
+        if parent is not None:
+            flat = _numbers(rec, "matrix")
+            if flat is None:
+                raise DocumentError(f"processor {pid!r} needs a conditional matrix")
+            if parent not in dims:
+                raise DocumentError(f"processor {pid!r} names an unknown parent {parent!r}")
+            if flat.size != dims[parent] * n:
+                raise DocumentError(
+                    f"processor {pid!r}: 'matrix' must hold {dims[parent]} x {n} = "
+                    f"{dims[parent] * n} numbers, got {flat.size}"
+                )
+            matrix = flat.reshape(dims[parent], n)
+        prior, evidence = _numbers(rec, "prior"), _numbers(rec, "external_input")
+        procs[pid] = bp.Processor(n, parent, matrix, prior, evidence)
+    return bp.CausalTree(processors=procs)
+
+
+def _numbers(rec: dict, field: str) -> np.ndarray | None:
+    """A record's list of finite numbers as a vector; None if the field is absent or null."""
+    value = rec.get(field)
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(
+        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value
+    ):
+        raise DocumentError(f"processor {rec['id']!r}: {field!r} must be a list of finite numbers")
+    return np.asarray(value, dtype=float)
 
 
 def document_kind(doc: Any) -> str:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coghier import bp, kernel
+from coghier import bp, documents, kernel
 
 
 def make_tree(parents, n, rng):
@@ -328,6 +328,18 @@ def test_equivalence_random_suite():
         assert report.passed, f"deviation {report.max_deviation} on {len(tree.processors)} nodes"
 
 
+def test_a_zero_product_the_embedding_meets_in_its_first_tick_reports_one_tick(monkeypatch):
+    """``encode`` binds ``_upward`` into each upward edge, so the first tick fails."""
+
+    def collapsed(tag, k, matrix, cid, belief):
+        raise bp.DegenerateBeliefError(f"upward message from {cid!r}")
+
+    monkeypatch.setattr(bp, "_upward", collapsed)
+    report = bp.equivalence_check(bp.thecat_tree())
+    assert (report.passed, report.ticks, report.max_deviation) == (False, 1, math.inf)
+    assert report.degenerate == ("upward message from 'N1'",)
+
+
 def test_equivalence_check_fails_a_deviation_of_1e_6_by_default_but_not_within_1e_5(monkeypatch):
     real = bp.node_belief
 
@@ -540,8 +552,8 @@ def test_a_tick_leaves_its_input_snapshot_unchanged(tree):
 
 def test_tree_document_roundtrip():
     tree = bp.thecat_tree()
-    doc = bp.tree_to_document(tree)
-    back = bp.tree_from_document(doc)
+    doc = documents.tree_to_document(tree)
+    back = documents.tree_from_document(doc)
     assert set(back.processors) == set(tree.processors)
     assert back.root == tree.root
     table = bp.bp_propagate(back)
@@ -556,7 +568,8 @@ def test_a_tree_is_its_processors_keyed_by_id_and_its_root_is_the_first_without_
     tree = bp.CausalTree(procs)
     assert tree.root == "a" and tree.topological_ids() == ("a", "c")
     assert bp.tree_violations(tree) == ["processor 'b' is not reachable from the root"]
-    assert [rec["id"] for rec in bp.tree_to_document(tree)["processors"]] == ["a", "c"]
+    with pytest.raises(ValueError, match="^processor 'b' is not reachable from the root$"):
+        documents.tree_to_document(tree)
 
 
 def test_tree_document_requires_single_root():
@@ -567,7 +580,7 @@ def test_tree_document_requires_single_root():
         ]
     }
     with pytest.raises(ValueError):
-        bp.tree_from_document(doc)
+        documents.tree_from_document(doc)
 
 
 @pytest.mark.parametrize(
@@ -583,7 +596,7 @@ def test_tree_document_requires_single_root():
 )
 def test_tree_document_rejects_malformed_records(record):
     with pytest.raises(ValueError):
-        bp.tree_from_document({"processors": [record]})
+        documents.tree_from_document({"processors": [record]})
 
 
 @pytest.mark.parametrize(
@@ -599,7 +612,7 @@ def test_a_tree_record_refuses_every_field_the_loader_would_drop(root, leaf, mes
     """A misplaced or misspelt field is refused, never silently ignored."""
     leaf = {"id": "b", "n": 2, "parent": "a", "matrix": [0.5] * 4, **leaf}
     with pytest.raises(ValueError, match=re.escape(f"processor {message}")):
-        bp.tree_from_document({"processors": [{"id": "a", "n": 2, **root}, leaf]})
+        documents.tree_from_document({"processors": [{"id": "a", "n": 2, **root}, leaf]})
 
 
 @pytest.mark.parametrize(
@@ -619,11 +632,11 @@ def test_a_matrix_of_the_wrong_length_names_its_processor(parent_n, matrix, mess
         ]
     }
     with pytest.raises(ValueError, match=re.escape(message)):
-        bp.tree_from_document(doc)
+        documents.tree_from_document(doc)
 
 
 def test_tree_document_dimension_one_is_a_violation():
-    tree = bp.tree_from_document({"processors": [{"id": "r", "n": 1, "parent": None}]})
+    tree = documents.tree_from_document({"processors": [{"id": "r", "n": 1, "parent": None}]})
     assert bp.tree_violations(tree) == ["'r': feature_dim must be at least 2"]
 
 
@@ -668,7 +681,7 @@ def test_random_tree_checks_its_size_before_each_processor(monkeypatch):
     size = len(tree.processors)
     monkeypatch.setattr(bp, "MAX_RANDOM_PROCESSORS", size)
     at_cap = bp.random_tree(np.random.default_rng(5), max_depth=6)
-    assert bp.tree_to_document(at_cap) == bp.tree_to_document(tree)
+    assert documents.tree_to_document(at_cap) == documents.tree_to_document(tree)
     monkeypatch.setattr(bp, "MAX_RANDOM_PROCESSORS", size - 1)
     with pytest.raises(ValueError, match=f"past {size - 1} processors"):
         bp.random_tree(np.random.default_rng(5), max_depth=6)
@@ -679,7 +692,7 @@ def test_random_tree_checks_its_matrix_entries_before_each_processor(monkeypatch
     entries = len(tree.processors) * tree.processors[tree.root].feature_dim ** 2
     monkeypatch.setattr(bp, "MAX_RANDOM_MATRIX_ENTRIES", entries)
     at_cap = bp.random_tree(np.random.default_rng(5), max_depth=6)
-    assert bp.tree_to_document(at_cap) == bp.tree_to_document(tree)
+    assert documents.tree_to_document(at_cap) == documents.tree_to_document(tree)
     monkeypatch.setattr(bp, "MAX_RANDOM_MATRIX_ENTRIES", entries - 1)
     with pytest.raises(ValueError, match=f"more than {entries - 1} entries"):
         bp.random_tree(np.random.default_rng(5), max_depth=6)
@@ -697,7 +710,7 @@ def test_random_tree_checks_its_matrix_entries_before_each_processor(monkeypatch
 def test_random_tree_draws_are_pinned(seed, depth, digest):
     """The generator's draws, their order and the processors' order stay as recorded."""
     tree = bp.random_tree(np.random.default_rng(seed), max_depth=depth)
-    text = json.dumps(bp.tree_to_document(tree))
+    text = json.dumps(documents.tree_to_document(tree))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert list(tree.processors) == list(tree.topological_ids())
 
@@ -790,9 +803,10 @@ def within_a_second():
 
 
 @pytest.mark.parametrize(
-    "walk", [bp.CausalTree.topological_ids, bp.bp_propagate, bp.tree_to_document]
+    "walk", [bp.CausalTree.topological_ids, bp.bp_propagate, documents.tree_to_document]
 )
 def test_a_cyclic_mapping_is_refused_rather_than_walked_forever(walk):
+    """The bare walk skips the cycle; every reader refuses the tree with its violations."""
     eye = np.eye(2)
     procs = {
         "r": bp.Processor(feature_dim=2),
@@ -800,35 +814,47 @@ def test_a_cyclic_mapping_is_refused_rather_than_walked_forever(walk):
         "b": bp.Processor(feature_dim=2, parent="a", cond_matrix=eye),
     }
     tree = bp.CausalTree(processors=procs)
-    assert bp.tree_violations(tree) == [
+    violations = [
         "processor 'a' is not reachable from the root",
         "processor 'b' is not reachable from the root",
     ]
+    assert bp.tree_violations(tree) == violations
     with within_a_second():
-        walk(tree)
+        if walk is bp.CausalTree.topological_ids:
+            assert walk(tree) == ("r",)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape('; '.join(violations))}$"):
+                walk(tree)
 
 
 PARENT_MAP_IDS = ("P0", "P1", "P2", "P3", "P4", "P5")
+# The parent links of P0, P1, ... in turn; dangling and cyclic links included.
+PARENT_MAPS = st.lists(
+    st.sampled_from(PARENT_MAP_IDS + (None, "ghost")), min_size=1, max_size=len(PARENT_MAP_IDS)
+)
+
+
+def parent_map_tree(parents):
+    """Two-valued processors under the ``parents`` links, an identity matrix on each link."""
+    eye = np.eye(2)
+    return bp.CausalTree(
+        {
+            pid: bp.Processor(2, parent, cond_matrix=None if parent is None else eye)
+            for pid, parent in zip(PARENT_MAP_IDS, parents)
+        }
+    )
 
 
 @settings(max_examples=300)
-@given(
-    parents=st.lists(
-        st.sampled_from(PARENT_MAP_IDS + (None, "ghost")), min_size=1, max_size=len(PARENT_MAP_IDS)
-    ),
-)
+@given(parents=PARENT_MAPS)
 def test_children_and_the_one_walk_follow_arbitrary_parent_links(parents):
     """Any parent map, dangling and cyclic links included: one walk, each processor once.
 
     The root is the first processor without a parent link; a map with none walks nothing.
     """
     ids = PARENT_MAP_IDS[: len(parents)]
-    eye = np.eye(2)
-    procs = {
-        pid: bp.Processor(2, parent, cond_matrix=None if parent is None else eye)
-        for pid, parent in zip(ids, parents)
-    }
-    tree = bp.CausalTree(processors=procs)
+    tree = parent_map_tree(parents)
+    procs = tree.processors
     with within_a_second():
         order = tree.topological_ids()
         violations = bp.tree_violations(tree)

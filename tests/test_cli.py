@@ -31,7 +31,7 @@ def thecat_doc(tmp_path):
 
 @pytest.fixture
 def thecat_tree_doc(tmp_path):
-    return write_json(tmp_path / "tree.json", bp.tree_to_document(bp.thecat_tree()))
+    return write_json(tmp_path / "tree.json", documents.tree_to_document(bp.thecat_tree()))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_a_field_the_tree_loader_would_drop_is_a_parse_error(
 def test_a_tree_document_carrying_another_top_level_key_is_a_parse_error(
     tmp_path, capsys, command, extra, refused
 ):
-    doc = {**bp.tree_to_document(bp.thecat_tree()), **extra}
+    doc = {**documents.tree_to_document(bp.thecat_tree()), **extra}
     path = write_json(tmp_path / "both.json", doc)
     start = f"parse error in {path}: a tree document cannot carry {refused}\n"
     assert_one_line_input_error([command, path], capsys, start)
@@ -235,7 +235,7 @@ def test_servo_unwritable_output_is_input_error(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("pid, field", [("N2", "external_input"), ("N4", "prior")])
 def test_validate_and_bp_both_reject_all_zero_evidence(tmp_path, capsys, pid, field):
-    doc = bp.tree_to_document(bp.thecat_tree())
+    doc = documents.tree_to_document(bp.thecat_tree())
     next(rec for rec in doc["processors"] if rec["id"] == pid)[field] = [0.0, 0.0]
     path = write_json(tmp_path / "zero.json", doc)
     assert main(["validate", path]) == 1
@@ -287,7 +287,7 @@ UNREACHABLE = [f"processor {pid!r} is not reachable from the root" for pid in ("
 )
 def test_tree_violations_reach_validate_and_bp(tmp_path, capsys, mutate, violations):
     """``validate`` prints each violation and their count; ``bp`` refuses the tree in one line."""
-    doc = bp.tree_to_document(bp.thecat_tree())
+    doc = documents.tree_to_document(bp.thecat_tree())
     mutate(doc)
     path = write_json(tmp_path / "bad.json", doc)
     assert main(["validate", path]) == 1
@@ -301,7 +301,7 @@ def test_tree_violations_reach_validate_and_bp(tmp_path, capsys, mutate, violati
 
 @pytest.mark.parametrize("command", ["validate", "bp"])
 def test_duplicate_processor_id_is_parse_error(tmp_path, capsys, command):
-    doc = bp.tree_to_document(bp.thecat_tree())
+    doc = documents.tree_to_document(bp.thecat_tree())
     leaf = doc["processors"][-1]
     doc["processors"].append(dict(leaf))
     path = write_json(tmp_path / "twice.json", doc)
@@ -338,7 +338,7 @@ def test_bp_fixture_passes_and_prints_beliefs(thecat_tree_doc, capsys):
 
 
 def test_bp_contradictory_evidence_fails_and_names_the_degenerate_processors(tmp_path, capsys):
-    doc = bp.tree_to_document(bp.thecat_tree())
+    doc = documents.tree_to_document(bp.thecat_tree())
     set_field("N3", "external_input", [1, 0])(doc)
     assert main(["bp", write_json(tmp_path / "contra.json", doc)]) == 1
     out, err = capsys.readouterr()
@@ -366,6 +366,21 @@ def test_bp_reports_a_zero_product_only_the_embedding_meets(thecat_tree_doc, mon
     assert err == ""
 
 
+def test_bp_fails_a_deviation_of_1e_6_by_default(thecat_tree_doc, monkeypatch, capsys):
+    """``--tolerance`` defaults to 1e-9, so a belief 1e-6 off fails the check."""
+    real = bp.node_belief
+
+    def shifted(belief_state):
+        bel = real(belief_state).copy()
+        bel[0] += 1e-6
+        return bel
+
+    monkeypatch.setattr(bp, "node_belief", shifted)
+    assert main(["bp", thecat_tree_doc]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("tree.json: FAIL nodes=4 max_deviation=1.000e-06 ticks=2\n")
+
+
 def test_bp_document_propagates_the_tree_once(thecat_tree_doc, monkeypatch, capsys):
     """The printed beliefs are the equivalence check's reference, not a second propagation."""
     calls = []
@@ -378,7 +393,7 @@ def test_bp_document_propagates_the_tree_once(thecat_tree_doc, monkeypatch, caps
 
 def test_subnormal_root_evidence_is_not_contradictory(tmp_path, capsys):
     """Uniform evidence of subnormal size is still uniform once normalised."""
-    doc = bp.tree_to_document(bp.thecat_tree())
+    doc = documents.tree_to_document(bp.thecat_tree())
     set_field("N4", "external_input", [5e-324, 5e-324])(doc)
     path = write_json(tmp_path / "subnormal.json", doc)
     assert main(["validate", path]) == 0
@@ -637,6 +652,11 @@ def test_each_servo_flag_reaches_its_parameter(monkeypatch, capsys, flag, field,
     monkeypatch.setattr(servo, "run_experiment", run_experiment)
     assert_one_line_input_error(["servo", flag, str(value)], capsys, "bad parameters: stopped")
     assert seen == [servo.ServoParams(**{field: value})]
+
+
+def test_one_servo_trial_has_a_std_of_zero(capsys):
+    assert main(["servo", "--trials", "1", "--mode", "context"]) == 0
+    assert re.fullmatch(r"context: mean=\S+ std=0\.000000 n=1\n", capsys.readouterr().out)
 
 
 def test_servo_exits_1_when_context_does_not_dominate(capsys):

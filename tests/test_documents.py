@@ -8,12 +8,26 @@ import pytest
 from coghier import bp, documents, kernel, servo
 
 
-def test_word_demo_document_loads_and_validates():
-    doc = documents.demo_document("thecat")
-    h = documents.load_hierarchy_document(doc)
+@pytest.mark.parametrize(
+    "name, node_ids, edges",
+    [
+        (
+            "thecat",
+            {"N0", "N1", "N2", "N3", "N4"},
+            [("N0", "N1"), ("N0", "N2"), ("N0", "N3"), ("N0", "N4"),
+             ("N1", "N4"), ("N2", "N4"), ("N3", "N4")],
+        ),
+        ("servo", {"N0", "N1", "N2"}, [("N0", "N1"), ("N1", "N2")]),
+    ],
+    ids=["thecat", "servo"],
+)
+def test_a_demo_document_loads_and_validates(name, node_ids, edges):
+    """The word/letter and servo demos: their node ids and (lower, upper) edge pairs."""
+    h = documents.load_hierarchy_document(documents.demo_document(name))
     assert kernel.validate(h) == []
     assert h.world_node == "N0"
-    assert set(h.node_ids) == {"N0", "N1", "N2", "N3", "N4"}
+    assert set(h.node_ids) == node_ids
+    assert [(e.lower, e.upper) for e in h.edges] == edges
 
 
 def test_loaded_document_runs_a_tick():
@@ -21,13 +35,6 @@ def test_loaded_document_runs_a_tick():
     ah = kernel.init_active(h, bp.initial_world_state(bp.thecat_tree()))
     ah = kernel.process_update(ah)
     np.testing.assert_allclose(bp.node_belief(ah.node("N2").belief), [0.0, 1.0])
-
-
-def test_servo_demo_document_loads_and_validates():
-    doc = documents.demo_document("servo")
-    h = documents.load_hierarchy_document(doc)
-    assert kernel.validate(h) == []
-    assert set(h.node_ids) == {"N0", "N1", "N2"}
 
 
 @pytest.mark.parametrize(

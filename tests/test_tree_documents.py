@@ -1,20 +1,26 @@
 """Property tests for JSON documents: round trips, and malformed fields exit cleanly.
 
 Trees are drawn with a dimension per processor, so a conditional matrix is
-(parent n, n) and not square. The mutation properties replace one field of
-a valid document with a value from a fixed bad set and run the CLI on it:
+(parent n, n) and not square, or by ``bp.random_tree``, or as any parent
+map. Each valid one reads back from its document with every field bit for
+bit, and every reader refuses an invalid one with the same message. The
+mutation properties replace one field of a valid document with a value from
+a fixed bad set and run the CLI on it:
 the exit code must be 0, 1 or 2, no exception may escape, an input error
 (exit 2) must be one line on stderr, and ``bp`` must not refuse as input a
 tree that ``validate`` accepts.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_bp import PARENT_MAPS, parent_map_tree
 
 from coghier import bp, documents
 from coghier.cli import main
@@ -80,17 +86,67 @@ def mutated(doc, record, field, value):
     return doc
 
 
+def round_trip(tree):
+    """The tree read back from its document's JSON text."""
+    return documents.tree_from_document(json.loads(json.dumps(documents.tree_to_document(tree))))
+
+
+def assert_same_processors(back, tree):
+    """Every field of every processor, bit for bit: JSON writes each float with ``repr``."""
+    assert back.processors.keys() == tree.processors.keys()
+    for pid, p in tree.processors.items():
+        for f in dataclasses.fields(bp.Processor):
+            got, want = getattr(back.processors[pid], f.name), getattr(p, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), (pid, f.name)
+            else:
+                assert got == want, (pid, f.name)  # n, parent, and a root's absent matrix
+
+
 @given(tree=mixed_dimension_trees())
 def test_mixed_dimension_tree_documents_round_trip(tmp_path_factory, tree):
-    doc = bp.tree_to_document(tree)
+    doc = documents.tree_to_document(tree)
     text = json.dumps(doc)
-    back = bp.tree_from_document(json.loads(text))
-    assert bp.tree_to_document(back) == doc
+    back = documents.tree_from_document(json.loads(text))
+    assert_same_processors(back, tree)
+    assert documents.tree_to_document(back) == doc
     assert back.children == tree.children
     assert bp.equivalence_check(back).passed
     path = tmp_path_factory.getbasetemp() / "mixed.json"
     path.write_text(text)
     assert run_cli(["bp", str(path)]) == (0, "")
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_tree_documents_round_trip(seed):
+    tree = bp.random_tree(np.random.default_rng(seed))
+    assert_same_processors(round_trip(tree), tree)
+
+
+@settings(max_examples=300)
+@given(parents=PARENT_MAPS)
+def test_every_reader_refuses_a_refused_parent_map_with_its_violations(parents):
+    """Each reader raises the violations as one message; an accepted map round-trips."""
+    tree = parent_map_tree(parents)
+    if not (violations := bp.tree_violations(tree)):
+        assert_same_processors(round_trip(tree), tree)
+        return
+    for read in (bp.encode, bp.bp_propagate, documents.tree_to_document):
+        with pytest.raises(ValueError) as refusal:
+            read(tree)
+        assert str(refusal.value) == "; ".join(violations)
+
+
+def test_equivalence_check_checks_each_tree_once(monkeypatch):
+    """``encode`` runs ``tree_violations``, and ``bp_propagate`` reads the cached result."""
+    checked = []
+    check = bp.tree_violations
+    monkeypatch.setattr(bp, "tree_violations", lambda tree: checked.append(tree) or check(tree))
+    trees = [bp.thecat_tree(), *(bp.random_tree(np.random.default_rng(s)) for s in range(5))]
+    for tree in trees:
+        assert bp.equivalence_check(tree).passed
+    assert list(map(id, checked)) == list(map(id, trees))
 
 
 @settings(max_examples=150)
@@ -104,7 +160,7 @@ def test_mixed_dimension_tree_documents_round_trip(tmp_path_factory, tree):
 @example(tree=bp.thecat_tree(), index=1, field="id", value=bp.WORLD_ID)
 @example(tree=bp.thecat_tree(), index=0, field="prior", value=[1e308, 1e308])
 def test_mutated_tree_documents_exit_cleanly(tmp_path_factory, tree, index, field, value):
-    base = bp.tree_to_document(tree)
+    base = documents.tree_to_document(tree)
     index %= len(base["processors"])
     doc = mutated(base, lambda d: d["processors"][index], field, value)
     path = tmp_path_factory.getbasetemp() / "mutated-tree.json"
