@@ -65,8 +65,8 @@ class Processor:
     """One tree node, keyed by its id in a tree: supports, conditional matrix, external evidence.
 
     ``cond_matrix`` is required for every non-root processor and gives
-    P(own value | parent value) with parent values indexing rows. The root
-    carries its prior in ``causal``.
+    P(own value | parent value) with parent values indexing rows. Only the
+    root carries ``causal``, its prior (uniform when omitted).
     """
 
     feature_dim: int
@@ -77,14 +77,13 @@ class Processor:
 
     def __post_init__(self) -> None:
         n = self.feature_dim
-        if self.causal is None:
+        if self.causal is None and self.parent is None:
             object.__setattr__(self, "causal", np.full(n, 1.0 / n))
         if self.external_input is None:
             object.__setattr__(self, "external_input", np.ones(n))
-        for name in ("causal", "external_input"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.cond_matrix is not None:
-            object.__setattr__(self, "cond_matrix", np.asarray(self.cond_matrix, dtype=float))
+        for name in ("causal", "external_input", "cond_matrix"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, np.asarray(value, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,8 @@ def tree_violations(tree: CausalTree) -> list[str]:
             p = procs[pid]
             if p.feature_dim < 2:
                 bad.append(f"{pid!r}: feature_dim must be at least 2")
-            for vec_name, needs_support in (("causal", pid == tree.root), ("external_input", True)):
+            vectors = ("causal", "external_input") if pid == tree.root else ("external_input",)
+            for vec_name in vectors:
                 vec = getattr(p, vec_name)
                 if vec.shape != (p.feature_dim,):
                     bad.append(
@@ -161,10 +161,12 @@ def tree_violations(tree: CausalTree) -> list[str]:
                     bad.append(f"{pid!r}: {vec_name} has negative entries")
                 elif not math.isfinite(total := sum(vec.tolist())):  # inf on overflow
                     bad.append(f"{pid!r}: {vec_name} sums to {total}, which is not finite")
-                elif needs_support and not total:
+                elif not total:
                     bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
             if pid == tree.root:
                 continue
+            if p.causal is not None:
+                bad.append(f"{pid!r}: a non-root processor cannot carry 'causal'")
             matrix, expected = p.cond_matrix, (procs[p.parent].feature_dim, p.feature_dim)
             if matrix is None:
                 bad.append(f"{pid!r}: non-root processor without a conditional matrix")
@@ -300,15 +302,17 @@ def encode(tree: CausalTree) -> Hierarchy:
 
     for pid, p in procs.items():
         obs_tag, kids = spaces[pid].observation_space, tree.children[pid]
-        # Each slot starts as the no-evidence message, read by node-level updates on a fresh state.
-        slots = (np.full(p.feature_dim, 1.0 / p.feature_dim),) * (len(kids) + 1)
+        # Slots and a non-root's causal support start as the no-evidence message, which
+        # node-level updates read on a fresh state.
+        uniform = np.full(p.feature_dim, 1.0 / p.feature_dim)
+        slots = (uniform,) * (len(kids) + 1)
         nodes.append(
             CognitiveNodeSpec(
                 node_id=pid,
                 spaces=spaces[pid],
                 observation_update=_write_slots,
                 prediction_update=_take_context,
-                initial_belief=(slots, p.causal.copy()),
+                initial_belief=(slots, (uniform if p.causal is None else p.causal).copy()),
             )
         )
         edges.append(EdgeTriple(WORLD_ID, pid, partial(_evidence, obs_tag, pid)))

@@ -4,9 +4,10 @@ A hierarchy is a DAG of nodes over a distinguished world node. Observations
 flow up the sensing graph (world node is the unique source) and task
 parameters plus context flow back down the converse prediction graph (world
 node is the unique sink). One tick of the process model is a full sensing
-sweep followed by a full prediction sweep. Each node's two steps are compiled
-once per hierarchy, at activation; the sweeps, the node-level updates and
-sweeps in a caller-supplied order all run them.
+sweep followed by a full prediction sweep. One walk over a hierarchy's graph,
+at activation, both checks it and compiles each node's two steps; the sweeps,
+the node-level updates and sweeps in a caller-supplied order all run them,
+and refuse a hierarchy whose graph that walk refuses.
 
 Everything here is functional: update operations take an ``ActiveHierarchy``
 and return a new one, so a failed tick leaves the caller's state untouched
@@ -33,7 +34,7 @@ class KernelError(Exception):
 
 
 class InvalidHierarchyError(KernelError):
-    """Raised when an invalid hierarchy is activated."""
+    """Raised when an invalid hierarchy is activated, or one with a malformed graph is run."""
 
     def __init__(self, violations: list[str]):
         self.violations = violations
@@ -192,7 +193,7 @@ class Hierarchy:
 
     @cached_property
     def _schedule(self) -> "tuple[_Phase, _Phase]":
-        """Both sweeps and each node's steps, compiled on first use; the hierarchy is frozen."""
+        """Both sweeps, compiled on first use and kept once the graph passes; it is frozen."""
         return _compile_schedule(self)
 
 
@@ -203,71 +204,26 @@ class Hierarchy:
 def validate(hierarchy: Hierarchy) -> list[str]:
     """Check well-formedness; violations are ``kind: detail`` lines, not exceptions.
 
-    A node the world cannot reach needs no search of its own. Walking back
-    from it along usable incoming edges (edges not flagged themselves) either
-    revisits a node, a ``cycle``, or stops at a node with no usable incoming
-    edge: the world, or else a ``unique_source`` violation. Without the world
-    (``world_missing``) no graph check runs.
+    The graph lines are those of the walk that compiles the sweeps
+    (:func:`_compile_schedule`); each node's policy lines follow them.
     """
-    found: list[str] = []
-
-    def flag(kind: str, detail: str) -> None:
-        found.append(f"{kind}: {detail}")
-
-    seen: set[str] = set()
-    for nid in (spec.node_id for spec in hierarchy.nodes):
-        if nid in seen:
-            flag("duplicate_node", f"node id {nid!r} declared twice")
-        seen.add(nid)
-    world = hierarchy.world_node
-    if world not in seen:
-        flag("world_missing", f"world node {world!r} is not among the nodes")
-
-    pairs: set[tuple[str, str]] = set()
-    usable_edges: list[EdgeTriple] = []
-    for edge in hierarchy.edges:
-        bad = False
-        for end in (edge.lower, edge.upper):
-            if end not in seen:
-                flag("unknown_node", f"edge references unknown node {end!r}")
-                bad = True
-        if edge.lower == edge.upper:
-            flag("self_edge", f"edge from {edge.lower!r} to itself")
-            bad = True
-        if (edge.lower, edge.upper) in pairs:
-            flag("duplicate_edge", f"more than one edge for ({edge.lower!r}, {edge.upper!r})")
-            bad = True
-        pairs.add((edge.lower, edge.upper))
-        if not bad:
-            usable_edges.append(edge)
-
-    if world in seen:
-        preceded: dict[str, set[str]] = {nid: set() for nid in seen}
-        for edge in usable_edges:
-            preceded[edge.upper].add(edge.lower)
-        _, cyclic = _kahn(seen, preceded)
-        if cyclic:
-            flag("cycle", "sensing graph has a cycle through " + ", ".join(sorted(cyclic)))
-        if preceded[world]:
-            sources = ", ".join(sorted(preceded[world]))
-            flag("unique_source", f"world node {world!r} has incoming sensing edges from {sources}")
-        orphan = "has no incoming sensing edge; world must be the only source"
-        for nid in sorted(seen - {world}):
-            if not preceded[nid]:
-                flag("unique_source", f"node {nid!r} {orphan}")
-
+    try:
+        hierarchy._schedule
+        found: list[str] = []
+    except InvalidHierarchyError as refused:
+        found = refused.violations
     for spec in hierarchy.nodes:
-        nid, initial = spec.node_id, spec.initial_policy
+        node, initial = f"node {spec.node_id!r}", spec.initial_policy
         if initial not in spec.policies:
-            flag("initial_policy", f"node {nid!r}: initial policy {initial!r} is not a known policy")
+            found.append(f"initial_policy: {node}: initial policy {initial!r} is not a known policy")
         try:
             default = spec.policy_selector(())
         except Exception as exc:  # selector is user code
-            flag("policy_default", f"node {nid!r}: policy selector failed on the empty set: {exc}")
+            found.append(f"policy_default: {node}: policy selector failed on the empty set: {exc}")
             continue
         if default != initial:
             mapped = f"maps the empty set to {default!r}, expected the initial policy {initial!r}"
-            flag("policy_default", f"node {nid!r}: policy selector {mapped}")
+            found.append(f"policy_default: {node}: policy selector {mapped}")
     return found
 
 
@@ -275,8 +231,13 @@ def validate(hierarchy: Hierarchy) -> list[str]:
 # Topological ordering
 
 
-def _kahn(ids: Iterable[str], preceded: Mapping[str, set[str]]) -> tuple[list[str], set[str]]:
-    """Level-sorted Kahn pass in O(N + E) plus sorting; also the nodes on or behind a cycle."""
+def canonical_topological_order(
+    ids: Iterable[str], preceded: Mapping[str, set[str]]
+) -> tuple[tuple[str, ...], set[str]]:
+    """Level-sorted Kahn order, ties broken by sorting ids; also the ids on or behind a cycle.
+
+    O(N + E) plus sorting; predecessors outside ``ids`` are ignored.
+    """
     ids = set(ids)
     indegree = dict.fromkeys(ids, 0)
     successors: dict[str, list[str]] = {nid: [] for nid in ids}
@@ -292,17 +253,7 @@ def _kahn(ids: Iterable[str], preceded: Mapping[str, set[str]]) -> tuple[list[st
             for nxt in successors[nid]:
                 indegree[nxt] -= 1
         level = sorted({nxt for nid in level for nxt in successors[nid] if not indegree[nxt]})
-    return order, ids.difference(order)
-
-
-def canonical_topological_order(
-    ids: Iterable[str], preceded: Mapping[str, set[str]]
-) -> tuple[str, ...]:
-    """Deterministic Kahn order; ties broken by sorting node ids."""
-    order, left = _kahn(ids, preceded)
-    if left:
-        raise ValueError("dependency graph has a cycle")
-    return tuple(order)
+    return tuple(order), ids.difference(order)
 
 
 def sensing_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
@@ -347,7 +298,6 @@ def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
         spec.node_id: ActiveNode(spec.initial_belief, spec.initial_policy, ())
         for spec in hierarchy.nodes
     }
-    hierarchy._schedule  # compile the sweeps here, once, rather than in the first tick
     return ActiveHierarchy(hierarchy, active, world_state)
 
 
@@ -455,22 +405,65 @@ class _Phase(NamedTuple):
 
 
 def _compile_schedule(hierarchy: Hierarchy) -> tuple[_Phase, _Phase]:
-    """The sensing sweep in canonical order, then the prediction sweep: its reverse, world last."""
+    """Check the graph, then compile the sensing sweep and its reverse, the prediction sweep.
+
+    One pass over the declared edges flags unknown ends, self edges and
+    repeated pairs and indexes the rest. One Kahn pass over every node, the
+    world included, finds each ``cycle`` and each source but the world
+    (``unique_source``). A violation raises ``InvalidHierarchyError``.
+    Otherwise the world alone is the first level and the rest is the sensing
+    sweep; the prediction graph is its converse, so the prediction sweep is
+    the whole order reversed, world last.
+    """
+    found: list[str] = []
     world = hierarchy.world_node
-    into: dict[str, list[tuple[str, bool, Callable]]] = {nid: [] for nid in hierarchy.node_ids}
-    above: dict[str, list[tuple[str, Callable, Callable]]] = {nid: [] for nid in hierarchy.node_ids}
-    for edge in sorted(hierarchy.edges, key=lambda e: (e.lower, e.upper)):
+    into: dict[str, list[tuple[str, bool, Callable]]] = {}
+    for spec in hierarchy.nodes:
+        if spec.node_id in into:
+            found.append(f"duplicate_node: node id {spec.node_id!r} declared twice")
+        into[spec.node_id] = []
+    above: dict[str, list[tuple[str, Callable, Callable]]] = {nid: [] for nid in into}
+    if world not in into:
+        found.append(f"world_missing: world node {world!r} is not among the nodes")
+
+    pairs: set[tuple[str, str]] = set()
+    usable: list[EdgeTriple] = []
+    for edge in hierarchy.edges:
+        pair, flagged = (edge.lower, edge.upper), len(found)
+        for end in pair:
+            if end not in into:
+                found.append(f"unknown_node: edge references unknown node {end!r}")
+        if edge.lower == edge.upper:
+            found.append(f"self_edge: edge from {edge.lower!r} to itself")
+        if pair in pairs:
+            found.append(f"duplicate_edge: more than one edge for {pair!r}")
+        pairs.add(pair)
+        if len(found) == flagged:
+            usable.append(edge)
+    for edge in sorted(usable, key=lambda e: (e.lower, e.upper)):
         into[edge.upper].append((edge.lower, edge.lower == world, edge.sensing_fn))
         above[edge.lower].append((edge.upper, edge.task_param_fn, edge.context_fn))
-    # The prediction graph is the sensing graph's converse, so the canonical sensing order
-    # run backwards, with the world below every node last, is a valid prediction order.
-    lowers = {nid: {lo for lo, _, _ in into[nid]} - {world} for nid in into if nid != world}
+
+    preceded = {nid: {lo for lo, _, _ in into[nid]} for nid in into}
+    if world in into:
+        order, cyclic = canonical_topological_order(into, preceded)
+        if cyclic:
+            found.append("cycle: sensing graph has a cycle through " + ", ".join(sorted(cyclic)))
+        if preceded[world]:
+            sources = "has incoming sensing edges from " + ", ".join(sorted(preceded[world]))
+            found.append(f"unique_source: world node {world!r} {sources}")
+        orphan = "has no incoming sensing edge; world must be the only source"
+        for nid in sorted(into):
+            if nid != world and not preceded[nid]:
+                found.append(f"unique_source: node {nid!r} {orphan}")
+    if found:
+        raise InvalidHierarchyError(found)
+    lowers = {nid: preceded[nid] - {world} for nid in into if nid != world}
     uppers = {nid: {up for up, _, _ in above[nid]} for nid in above}
-    order = canonical_topological_order(lowers, lowers)
-    sensing = {nid: _sensing_step(hierarchy.node(nid), tuple(into[nid])) for nid in order}
+    sensing = {nid: _sensing_step(hierarchy.node(nid), tuple(into[nid])) for nid in order[1:]}
     prediction = {
         nid: _prediction_step(hierarchy.node(nid), tuple(above[nid]), nid == world)
-        for nid in (*order[::-1], world)
+        for nid in reversed(order)
     }
     return _Phase("sensing", lowers, sensing), _Phase("prediction", uppers, prediction)
 

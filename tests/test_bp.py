@@ -644,9 +644,10 @@ def test_tree_violations_flag_all_zero_evidence_and_prior():
     procs = dict(bp.thecat_tree().processors)
     procs["N2"] = replace(procs["N2"], external_input=np.zeros(2))
     procs["N4"] = replace(procs["N4"], causal=np.zeros(2))
-    procs["N1"] = replace(procs["N1"], causal=np.zeros(2))  # overwritten by context: allowed
+    procs["N1"] = replace(procs["N1"], causal=np.zeros(2))  # only the root carries a prior
     bad = bp.tree_violations(bp.CausalTree(processors=procs))
     assert sorted(bad) == [
+        "'N1': a non-root processor cannot carry 'causal'",
         "'N2': external_input is all zero, so no value can have support",
         "'N4': causal is all zero, so no value can have support",
     ]

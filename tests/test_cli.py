@@ -25,11 +25,6 @@ def write_json(path, doc):
 
 
 @pytest.fixture
-def thecat_doc(tmp_path):
-    return write_json(tmp_path / "thecat.json", documents.demo_document("thecat"))
-
-
-@pytest.fixture
 def thecat_tree_doc(tmp_path):
     return write_json(tmp_path / "tree.json", documents.tree_to_document(bp.thecat_tree()))
 
@@ -38,9 +33,11 @@ def thecat_tree_doc(tmp_path):
 # validate
 
 
-def test_validate_hierarchy_document_ok(thecat_doc, capsys):
-    assert main(["validate", thecat_doc]) == 0
-    assert "OK" in capsys.readouterr().out
+@pytest.mark.parametrize("demo", ["thecat", "servo"])
+def test_validate_hierarchy_document_ok(tmp_path, capsys, demo):
+    path = write_json(tmp_path / f"{demo}.json", documents.demo_document(demo))
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == f"{path}: OK (hierarchy)\n"
 
 
 def test_validate_tree_document_ok(thecat_tree_doc, capsys):

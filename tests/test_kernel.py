@@ -21,6 +21,7 @@ from coghier.kernel import (
     Tagged,
     TagMismatchError,
     default_spaces,
+    emit_nothing,
     make_world_node_spec,
 )
 
@@ -135,6 +136,66 @@ def test_policy_selector_failing_on_the_empty_set_reported():
     assert kernel.validate(h) == [expected]
 
 
+def test_validate_gives_the_graph_lines_in_walk_order_then_the_policy_lines():
+    """Nodes, then each edge as declared, then the Kahn pass's lines, then each node's policy."""
+    nodes = (
+        make_world_node_spec("W"),
+        *map(recorder_node, "ABCDA"),
+        replace(recorder_node("E"), policy_selector=lambda _: "missing", initial_policy="missing"),
+        replace(recorder_node("F"), policy_selector=lambda _: "p1"),
+    )
+    pairs = [("A", "Z"), ("A", "A"), ("W", "A"), ("W", "A"), ("W", "B"), ("B", "C"), ("C", "B")]
+    pairs += [("D", "W"), ("W", "E"), ("W", "F")]
+    edges = tuple(EdgeTriple(lower, upper, emit_nothing) for lower, upper in pairs)
+    assert kernel.validate(Hierarchy(nodes, "W", edges)) == [
+        "duplicate_node: node id 'A' declared twice",
+        "unknown_node: edge references unknown node 'Z'",
+        "self_edge: edge from 'A' to itself",
+        "duplicate_edge: more than one edge for ('W', 'A')",
+        "cycle: sensing graph has a cycle through B, C",
+        "unique_source: world node 'W' has incoming sensing edges from D",
+        "unique_source: node 'D' has no incoming sensing edge; world must be the only source",
+        "initial_policy: node 'E': initial policy 'missing' is not a known policy",
+        "policy_default: node 'F': policy selector maps the empty set to 'p1', "
+        "expected the initial policy 'p0'",
+    ]
+
+
+@pytest.mark.parametrize(
+    "extra, kind",
+    [
+        ((("A", "B"), ("B", "A")), "cycle: "),
+        ((("W", "B"), ("A", "Z")), "unknown_node: "),
+        ((), "unique_source: "),
+    ],
+    ids=["cycle", "unknown-end", "second-source"],
+)
+def test_every_reader_refuses_a_graph_that_validate_refuses(extra, kind):
+    """Sweeps, node updates and dependency readers on a hierarchy that skipped ``init_active``."""
+    h = build_recorder_hierarchy(["A"], [])
+    h = replace(
+        h,
+        nodes=(*h.nodes, recorder_node("B")),
+        edges=h.edges + tuple(EdgeTriple(lower, upper, emit_nothing) for lower, upper in extra),
+    )
+    lines = kernel.validate(h)
+    assert len(lines) == 1 and lines[0].startswith(kind)
+    active = {spec.node_id: kernel.ActiveNode(None, spec.initial_policy, ()) for spec in h.nodes}
+    ah = kernel.ActiveHierarchy(h, active, "env")
+    for read in (
+        lambda: kernel.process_update(ah),
+        lambda: kernel.sensing_process_update(ah),
+        lambda: kernel.prediction_process_update(ah),
+        lambda: kernel.sensing_node_update(ah, "A"),
+        lambda: kernel.prediction_node_update(ah, "A"),
+        lambda: kernel.sensing_dependencies(h),
+        lambda: kernel.prediction_dependencies(h),
+    ):
+        with pytest.raises(InvalidHierarchyError) as refused:
+            read()
+        assert refused.value.violations == lines
+
+
 # ---------------------------------------------------------------------------
 # Activation
 
@@ -210,14 +271,11 @@ def test_sensing_update_with_no_edges_passes_empty_union():
     h = Hierarchy(
         nodes=(world, node, lonely),
         world_node="W",
-        edges=(world_edge(spaces, "W", "A"), recorder_edge(spaces, "A", "B")),
+        edges=(world_edge(spaces, "W", "A"), EdgeTriple("A", "B", emit_nothing)),
     )
-    ah = kernel.init_active(h, "env")
-    stripped = Hierarchy(nodes=h.nodes, world_node="W", edges=h.edges[:1])
-    # bypass validation on purpose: B has no incoming edges here
-    ah2 = kernel.ActiveHierarchy(stripped, ah.active, ah.world_state)
-    ah2 = kernel.sensing_node_update(ah2, "B")
-    assert ah2.node("B").belief == ("S", (), ("init", "B"))
+    # B's only incoming edge emits nothing, so it folds an empty union
+    ah = kernel.sensing_node_update(kernel.init_active(h, "env"), "B")
+    assert ah.node("B").belief == ("S", (), ("init", "B"))
 
 
 def test_sensing_update_rejects_world_node():
@@ -615,9 +673,8 @@ def test_failure_at_the_last_step_leaves_the_snapshot_untouched():
 
 def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):
     calls = {}
-    ordering = ("canonical_topological_order", "_kahn")
-    builders = ("_sensing_step", "_prediction_step")
-    for name in (*ordering, *builders, "sensing_dependencies", "prediction_dependencies"):
+    compiling = ("canonical_topological_order", "_sensing_step", "_prediction_step")
+    for name in (*compiling, "sensing_dependencies", "prediction_dependencies"):
 
         def counting(*args, _name=name, _inner=getattr(kernel, name)):
             calls[_name] = calls.get(_name, 0) + 1
@@ -626,12 +683,10 @@ def test_ticks_reuse_the_schedule_compiled_at_activation(monkeypatch):
         monkeypatch.setattr(kernel, name, counting)
 
     ah = kernel.init_active(diamond(), "env")
-    # validate's cycle search and the one sensing order; the prediction sweep is its reverse.
-    # Each node gets its steps built once: a sensing step for each of A, B, C and D, and a
-    # prediction step for those four and the world.
-    assert calls == {
-        "canonical_topological_order": 1, "_kahn": 2, "_sensing_step": 4, "_prediction_step": 5
-    }
+    # One Kahn pass checks the graph and gives the sensing order; the prediction sweep is its
+    # reverse. Each node gets its steps built once: a sensing step for each of A, B, C and D,
+    # and a prediction step for those four and the world.
+    assert calls == {"canonical_topological_order": 1, "_sensing_step": 4, "_prediction_step": 5}
     calls.clear()
     for _ in range(10):
         ah = kernel.process_update(ah)

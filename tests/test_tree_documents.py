@@ -36,12 +36,16 @@ TREE_FIELDS = ("id", "n", "parent", "matrix", "prior", "external_input")
 
 
 @st.composite
-def mixed_dimension_trees(draw, max_nodes=6):
-    """Random valid tree whose processors each draw their own dimension."""
+def mixed_dimension_trees(draw, max_nodes=6, stray_priors=False):
+    """Random valid tree whose processors each draw their own dimension.
+
+    With ``stray_priors`` each non-root may also carry a prior, which no valid tree has.
+    """
     size = draw(st.integers(1, max_nodes))
     parents = [draw(st.integers(0, i - 1)) for i in range(1, size)]
     dims = draw(st.lists(st.integers(2, 4), min_size=size, max_size=size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stray = [stray_priors and draw(st.booleans()) for _ in range(size)]
     ids = [f"P{i}" for i in range(size)]
     procs = {}
     for i, pid in enumerate(ids):
@@ -54,7 +58,7 @@ def mixed_dimension_trees(draw, max_nodes=6):
             feature_dim=dims[i],
             parent=None if parent is None else ids[parent],
             cond_matrix=matrix,
-            causal=rng.uniform(0.05, 1.0, dims[i]) if parent is None else None,
+            causal=rng.uniform(0.05, 1.0, dims[i]) if parent is None or stray[i] else None,
             external_input=rng.uniform(0.05, 1.0, dims[i]),
         )
     return bp.CausalTree(processors=procs)
@@ -103,8 +107,19 @@ def assert_same_processors(back, tree):
                 assert got == want, (pid, f.name)  # n, parent, and a root's absent matrix
 
 
-@given(tree=mixed_dimension_trees())
+@given(tree=mixed_dimension_trees(stray_priors=True))
 def test_mixed_dimension_tree_documents_round_trip(tmp_path_factory, tree):
+    """A prior on a non-root is refused, one line each; the tree without them round-trips."""
+    strays = [pid for pid, p in tree.processors.items() if p.parent and p.causal is not None]
+    if strays:
+        with pytest.raises(ValueError) as refusal:
+            documents.tree_to_document(tree)
+        refused = [f"{pid!r}: a non-root processor cannot carry 'causal'" for pid in strays]
+        assert sorted(str(refusal.value).split("; ")) == sorted(refused)
+        procs = tree.processors.items()
+        tree = bp.CausalTree(
+            {pid: dataclasses.replace(p, causal=None) if p.parent else p for pid, p in procs}
+        )
     doc = documents.tree_to_document(tree)
     text = json.dumps(doc)
     back = documents.tree_from_document(json.loads(text))
