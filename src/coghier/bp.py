@@ -20,8 +20,9 @@ rather than divided by zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from dataclasses import astuple, dataclass, field
+from functools import cached_property, lru_cache, partial
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -76,35 +77,49 @@ class Processor:
     external_input: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n = self.feature_dim
-        if self.causal is None and self.parent is None:
-            object.__setattr__(self, "causal", np.full(n, 1.0 / n))
-        if self.external_input is None:
-            object.__setattr__(self, "external_input", np.ones(n))
+        fields = vars(self)  # each array given is copied and frozen: no caller can write into a tree
         for name in ("causal", "external_input", "cond_matrix"):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
+            if (value := fields[name]) is not None:
+                fields[name] = frozen = np.array(value, dtype=float)
+                frozen.setflags(write=False)
+        if fields["causal"] is None and self.parent is None:
+            fields["causal"] = _uniform(self.feature_dim)
+        if fields["external_input"] is None:
+            fields["external_input"] = _ones(self.feature_dim)
+
+    def __reduce__(self) -> tuple:  # a copy goes through __init__, so its arrays are frozen too
+        return Processor, astuple(self)
 
 
 @dataclass(frozen=True)
 class CausalTree:
-    """Processors keyed by id; each one's ``parent`` link is the tree's only shape."""
+    """Processors keyed by id; each one's ``parent`` link is the tree's only shape.
+
+    A tree keeps a read-only copy of its mapping, and its processors' arrays are frozen, so
+    what it derives when built cannot go stale: ``root``, the first processor with no parent
+    link (``None`` if none), each one's ``children`` in order, and :meth:`topological_ids`.
+    """
 
     processors: Mapping[str, Processor]
 
-    @cached_property
-    def root(self) -> str | None:
-        """The first processor with no parent link; ``None`` when every processor has one."""
-        return next((pid for pid, p in self.processors.items() if p.parent is None), None)
-
-    @cached_property
-    def children(self) -> dict[str, tuple[str, ...]]:
-        """Each processor's children: the processors whose parent names it, in order."""
-        kids: dict[str, list[str]] = {pid: [] for pid in self.processors}
-        for pid, p in self.processors.items():
+    def __post_init__(self) -> None:
+        procs, root = MappingProxyType(dict(self.processors)), None
+        kids: dict[str, list[str]] = {pid: [] for pid in procs}
+        for pid, p in procs.items():
+            if p.parent is None and root is None:
+                root = pid
             if p.parent in kids:
                 kids[p.parent].append(pid)
-        return {pid: tuple(ids) for pid, ids in kids.items()}
+        children = {pid: tuple(ids) for pid, ids in kids.items()}
+        walk, stack = [], [] if root is None else [root]
+        while stack:
+            walk.append(pid := stack.pop())
+            stack.extend(reversed(children[pid]))
+        # A frozen dataclass takes what it derives straight into its instance dict.
+        vars(self).update(processors=procs, root=root, children=children, _walk=tuple(walk))
+
+    def __reduce__(self) -> tuple:  # the read-only mapping does not pickle: rebuild from a copy
+        return CausalTree, (dict(self.processors),)
 
     @cached_property
     def checked_ids(self) -> tuple[str, ...]:
@@ -113,21 +128,20 @@ class CausalTree:
             raise ValueError("; ".join(bad))
         return self.topological_ids()
 
+    @cached_property
+    def _unit_inputs(self) -> dict[str, np.ndarray]:
+        """Each external input scaled to sum 1, once per tree, after :attr:`checked_ids`."""
+        return {pid: _normalize(self.processors[pid].external_input) for pid in self.checked_ids}
+
     def topological_ids(self) -> tuple[str, ...]:
         """The processors reachable from the root, depth first, parents before children.
 
         Each processor has at most one parent and the root has none, so the
         walk meets no processor twice: one whose parent chain misses the root
         (a dangling or cyclic link) is simply not visited. A tree with no
-        root walks nothing.
+        root walks nothing. A tree cannot change, so it is walked once, when built.
         """
-        order: list[str] = []
-        stack = [] if self.root is None else [self.root]
-        while stack:
-            pid = stack.pop()
-            order.append(pid)
-            stack.extend(reversed(self.children[pid]))
-        return tuple(order)
+        return self._walk
 
 
 def tree_violations(tree: CausalTree) -> list[str]:
@@ -136,49 +150,68 @@ def tree_violations(tree: CausalTree) -> list[str]:
     A tree needs a processor with no parent link. Processors are checked in
     :meth:`CausalTree.topological_ids` order, each one's matrix against its
     parent's dimension; then every processor the walk did not reach is
-    reported, a second parentless one among them.
+    reported, a second parentless one among them. The numeric checks run
+    once per array shape (:func:`_flaws`), so their numpy calls do not grow with the tree.
     """
-    procs = tree.processors
-    if tree.root is None:
+    procs, root = tree.processors, tree.root
+    if root is None:
         return ["the tree has no root: every processor has a parent link"]
-    bad: list[str] = []
-    if WORLD_ID in procs:
-        bad.append(f"processor id {WORLD_ID!r} is reserved for the world node")
+    bad = [f"processor id {WORLD_ID!r} is reserved for the world node"] if WORLD_ID in procs else []
     order = tree.topological_ids()
-    with np.errstate(over="ignore", invalid="ignore"):  # a row of 1e308s or of inf and -inf
-        for pid in order:
-            p = procs[pid]
-            if p.feature_dim < 2:
-                bad.append(f"{pid!r}: feature_dim must be at least 2")
-            vectors = ("causal", "external_input") if pid == tree.root else ("external_input",)
-            for vec_name in vectors:
-                vec = getattr(p, vec_name)
-                if vec.shape != (p.feature_dim,):
-                    bad.append(
-                        f"{pid!r}: {vec_name} has shape {vec.shape}, expected ({p.feature_dim},)"
-                    )
-                elif (vec < 0).any():
-                    bad.append(f"{pid!r}: {vec_name} has negative entries")
-                elif not math.isfinite(total := sum(vec.tolist())):  # inf on overflow
-                    bad.append(f"{pid!r}: {vec_name} sums to {total}, which is not finite")
-                elif not total:
-                    bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
-            if pid == tree.root:
-                continue
-            if p.causal is not None:
-                bad.append(f"{pid!r}: a non-root processor cannot carry 'causal'")
-            matrix, expected = p.cond_matrix, (procs[p.parent].feature_dim, p.feature_dim)
-            if matrix is None:
-                bad.append(f"{pid!r}: non-root processor without a conditional matrix")
-            elif matrix.shape != expected:
-                bad.append(f"{pid!r}: conditional matrix shape {matrix.shape}, expected {expected}")
-            elif not (np.abs(np.add.reduce(matrix, axis=1) - 1.0) <= 1e-12).all():  # NaN fails too
-                bad.append(f"{pid!r}: conditional matrix rows do not sum to 1")
-            elif (matrix < 0).any():
-                bad.append(f"{pid!r}: conditional matrix has negative entries")
-    for pid in sorted(set(procs) - set(order)):
-        bad.append(f"processor {pid!r} is not reachable from the root")
+    vectors = [procs[root].causal, *(procs[pid].external_input for pid in order)]
+    flaws = _flaws(vectors, [procs[pid].cond_matrix for pid in order[1:]])
+    for pid in order:
+        p = procs[pid]
+        if p.feature_dim < 2:
+            bad.append(f"{pid!r}: feature_dim must be at least 2")
+        for name in ("causal", "external_input") if pid == root else ("external_input",):
+            vec = getattr(p, name)
+            if vec.shape != (p.feature_dim,):
+                bad.append(f"{pid!r}: {name} has shape {vec.shape}, expected ({p.feature_dim},)")
+            elif flaw := flaws[id(vec)]:
+                bad.append(f"{pid!r}: {name} {flaw}")
+        if pid == root:
+            continue
+        if p.causal is not None:
+            bad.append(f"{pid!r}: a non-root processor cannot carry 'causal'")
+        matrix, expected = p.cond_matrix, (procs[p.parent].feature_dim, p.feature_dim)
+        if matrix is None:
+            bad.append(f"{pid!r}: non-root processor without a conditional matrix")
+        elif matrix.shape != expected:
+            bad.append(f"{pid!r}: conditional matrix shape {matrix.shape}, expected {expected}")
+        elif flaw := flaws[id(matrix)]:
+            bad.append(f"{pid!r}: conditional matrix {flaw}")
+    bad += [f"processor {pid!r} is not reachable from the root" for pid in sorted(procs.keys() - order)]
     return bad
+
+
+def _flaws(vectors: list[np.ndarray], matrices: list[np.ndarray | None]) -> dict[int, str]:
+    """Each 1-d vector's and 2-d matrix's first numeric flaw by ``id`` ("" for none), checked
+    on the stacked arrays of each shape; a vector sums left to right, as ``sum`` adds."""
+    groups: dict[tuple, dict[int, np.ndarray]] = {}
+    for array, ndim in [(vec, 1) for vec in vectors] + [(mat, 2) for mat in matrices]:
+        if array is not None and array.ndim == ndim:
+            groups.setdefault(array.shape, {})[id(array)] = array
+    flaws: dict[int, str] = {}
+    for group in groups.values():
+        stack = np.array(list(group.values()))
+        negative = np.logical_or.reduce(stack < 0, axis=tuple(range(1, stack.ndim))).tolist()
+        if stack.ndim == 2:
+            found = [
+                "has negative entries" if neg
+                else f"sums to {total}, which is not finite" if not math.isfinite(total)
+                else "" if total else "is all zero, so no value can have support"
+                for neg, total in zip(negative, map(sum, stack.tolist()))
+            ]
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # rows of 1e308s, or of inf and -inf
+                rows = np.abs(np.add.reduce(stack, axis=2) - 1.0) <= 1e-12  # a NaN sum is not 1
+            found = [
+                "has negative entries" if neg and ok else "" if ok else "rows do not sum to 1"
+                for ok, neg in zip(np.logical_and.reduce(rows, axis=1).tolist(), negative)
+            ]
+        flaws.update(zip(group, found))
+    return flaws
 
 
 # ---------------------------------------------------------------------------
@@ -193,31 +226,32 @@ class BeliefTable:
     degenerate: frozenset[str] = frozenset()
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: a float length fails as np.ones fails on it
 def _ones(n: int) -> np.ndarray:
-    """A read-only vector of n ones, built once per length.
-
-    All :data:`MAX_FEATURE_DIM` lengths a document or random tree may have take about 4 MiB.
-    """
+    """A read-only vector of n ones, built once per length (all lengths take about 4 MiB)."""
     ones = np.ones(n)
-    ones.flags.writeable = False
+    ones.setflags(write=False)
     return ones
 
 
-def _normalize(vec: np.ndarray) -> np.ndarray | None:
+@lru_cache(maxsize=None, typed=True)
+def _uniform(n: int) -> np.ndarray:
+    """A read-only vector of n entries 1/n, the no-evidence message, built once per length."""
+    uniform = np.full(n, 1.0 / n)
+    uniform.setflags(write=False)
+    return uniform
+
+
+def _normalize(vec: np.ndarray, where: str | None = None, pid: str = "") -> np.ndarray | None:
+    """``vec`` scaled to sum 1. A zero total is contradictory evidence: ``None``, or with
+    ``where`` a :class:`DegenerateBeliefError` at ``where.format(pid)``, formatted only then."""
     # One BLAS dot: on vectors of a few entries numpy's reduction machinery costs more than the sum.
-    total = float(vec.dot(_ones(vec.shape[0])))
+    total = vec.dot(_ones(len(vec)))
     if total <= 0.0:
-        return None
+        if where is None:
+            return None
+        raise DegenerateBeliefError(where.format(pid))
     return vec / total
-
-
-def _normalized(vec: np.ndarray, where: str, *ids: str) -> np.ndarray:
-    """``vec`` scaled to sum 1; a zero sum raises at ``where.format(*ids)``, formatted only then."""
-    normed = _normalize(vec)
-    if normed is None:
-        raise DegenerateBeliefError(where.format(*ids))
-    return normed
 
 
 def bp_propagate(tree: CausalTree) -> BeliefTable:
@@ -233,13 +267,14 @@ def bp_propagate(tree: CausalTree) -> BeliefTable:
     ill-formed tree raises ``ValueError``, as in :func:`encode`.
     """
     order = tree.checked_ids
-    procs, children = tree.processors, tree.children
+    procs, children, root = tree.processors, tree.children, tree.root
 
-    def unit(vec: np.ndarray) -> np.ndarray:
+    def unit(vec: np.ndarray) -> np.ndarray:  # a zero message is passed on, to zero what it reaches
         normed = _normalize(vec)
         return vec if normed is None else normed
 
-    evidence = {pid: unit(procs[pid].external_input) for pid in order}
+    # A checked tree's evidence and prior are finite and not all zero, so they normalise.
+    evidence = tree._unit_inputs
     up_msg: dict[str, np.ndarray] = {}
     lam: dict[str, np.ndarray] = {}
     for pid in reversed(order):
@@ -247,26 +282,25 @@ def bp_propagate(tree: CausalTree) -> BeliefTable:
         for child in children[pid]:
             total = total * up_msg[child]
         lam[pid] = total
-        if pid != tree.root:
+        if pid != root:
             up_msg[pid] = unit(procs[pid].cond_matrix.dot(total))
 
-    causal_in = {tree.root: unit(procs[tree.root].causal)}
-    for pid in order:
-        for child in children[pid]:
-            others = evidence[pid] * causal_in[pid]
-            for sibling in children[pid]:
-                if sibling != child:
-                    others = others * up_msg[sibling]
-            causal_in[child] = unit(others.dot(procs[child].cond_matrix))
-
+    causal_in = {root: _normalize(procs[root].causal)}
     beliefs: dict[str, np.ndarray] = {}
     degenerate: set[str] = set()
     for pid in order:
-        bel = _normalize(lam[pid] * causal_in[pid])
-        if bel is None:
+        if (bel := _normalize(lam[pid] * causal_in[pid])) is None:
             degenerate.add(pid)
         else:
             beliefs[pid] = bel
+        if kids := children[pid]:
+            own = evidence[pid] * causal_in[pid]  # once per parent, not once per child
+        for child in kids:
+            others = own
+            for sibling in kids:
+                if sibling != child:
+                    others = others * up_msg[sibling]
+            causal_in[child] = unit(others.dot(procs[child].cond_matrix))
     return BeliefTable(beliefs, frozenset(degenerate))
 
 
@@ -279,8 +313,8 @@ def node_belief(belief_state: tuple) -> np.ndarray:
     slots, causal = belief_state
     total = np.asarray(causal, dtype=float)
     for slot in slots:
-        total = total * np.asarray(slot, dtype=float)
-    return _normalized(total, "belief state")
+        total = total * slot
+    return _normalize(total, "belief state")
 
 
 def encode(tree: CausalTree) -> Hierarchy:
@@ -294,39 +328,28 @@ def encode(tree: CausalTree) -> Hierarchy:
     world node :data:`WORLD_ID` holds each processor's external input vector.
     An ill-formed tree raises ``ValueError``: its violations joined by "; ".
     """
-    tree.checked_ids  # refuses an ill-formed tree, once per tree
-    procs = tree.processors
-    spaces = {pid: default_spaces(pid) for pid in procs}
-    nodes: list[CognitiveNodeSpec] = [make_world_node_spec(WORLD_ID)]
-    edges: list[EdgeTriple] = []
-
+    units = tree._unit_inputs  # refuses an ill-formed tree, once per tree
+    procs, nodes, edges = tree.processors, [_WORLD_SPEC], []
     for pid, p in procs.items():
-        obs_tag, kids = spaces[pid].observation_space, tree.children[pid]
-        # Slots and a non-root's causal support start as the no-evidence message, which
-        # node-level updates read on a fresh state.
-        uniform = np.full(p.feature_dim, 1.0 / p.feature_dim)
-        slots = (uniform,) * (len(kids) + 1)
-        nodes.append(
-            CognitiveNodeSpec(
-                node_id=pid,
-                spaces=spaces[pid],
-                observation_update=_write_slots,
-                prediction_update=_take_context,
-                initial_belief=(slots, (uniform if p.causal is None else p.causal).copy()),
-            )
-        )
-        edges.append(EdgeTriple(WORLD_ID, pid, partial(_evidence, obs_tag, pid)))
+        spaces, kids = _spaces(pid), tree.children[pid]
+        obs_tag = spaces.observation_space
+        # Slots and a non-root's causal support start as the read-only no-evidence message,
+        # which node-level updates read on a fresh state; the root's prior is frozen too.
+        uniform = _uniform(p.feature_dim)
+        belief = ((uniform,) * (len(kids) + 1), uniform if p.causal is None else p.causal)
+        nodes.append(CognitiveNodeSpec(pid, spaces, _write_slots, _take_context, initial_belief=belief))
+        evidence = partial(_evidence, obs_tag, pid, p.external_input, units[pid])
+        edges.append(EdgeTriple(WORLD_ID, pid, evidence))
         for k, cid in enumerate(kids, start=1):
-            matrix, ctx_tag = procs[cid].cond_matrix, spaces[cid].context_space
-            edges.append(
-                EdgeTriple(
-                    lower=cid,
-                    upper=pid,
-                    sensing_fn=partial(_upward, obs_tag, k, matrix, cid),
-                    context_fn=partial(_context, ctx_tag, k, matrix, cid),
-                )
-            )
+            matrix, ctx_tag = procs[cid].cond_matrix, _spaces(cid).context_space
+            upward = partial(_upward, obs_tag, k, matrix, cid)
+            context = partial(_context, ctx_tag, k, matrix, cid)
+            edges.append(EdgeTriple(cid, pid, upward, context_fn=context))
     return Hierarchy(nodes=tuple(nodes), world_node=WORLD_ID, edges=tuple(edges))
+
+
+_WORLD_SPEC = make_world_node_spec(WORLD_ID)  # every encoded hierarchy shares it; it is frozen
+_spaces = lru_cache(maxsize=1 << 12)(default_spaces)  # each recent id's tags, built once
 
 
 def _write_slots(observations: tuple, belief: tuple) -> tuple:
@@ -347,12 +370,16 @@ def _take_context(contexts: tuple, actions: tuple, belief: tuple) -> tuple:
 
 
 # The three edge messages; ``encode`` binds every argument but the last to each edge.
+_tagged = tuple.__new__  # builds a ``Tagged`` without the Python-level ``__new__``
 
 
-def _evidence(tag: str, pid: str, world_state: Mapping[str, np.ndarray]) -> tuple[Tagged, ...]:
-    """Slot 0 of ``pid``: its external input, read from the world state."""
-    vec = np.asarray(world_state[pid], dtype=float)
-    return (Tagged(tag, (0, _normalized(vec, "external input of {!r}", pid))),)
+def _evidence(tag: str, pid: str, own: np.ndarray, unit: np.ndarray, world_state: Mapping) -> tuple:
+    """Slot 0 of ``pid``: its external input, read from the world state and normalised. While
+    the world holds the tree's own read-only input ``own``, the message is a copy of ``unit``."""
+    if (vec := world_state[pid]) is own:
+        return (_tagged(Tagged, (tag, (0, unit.copy()))),)
+    vec = _normalize(np.asarray(vec, dtype=float), "external input of {!r}", pid)
+    return (_tagged(Tagged, (tag, (0, vec))),)
 
 
 def _upward(tag: str, k: int, matrix: np.ndarray, cid: str, belief: tuple) -> tuple[Tagged, ...]:
@@ -361,8 +388,8 @@ def _upward(tag: str, k: int, matrix: np.ndarray, cid: str, belief: tuple) -> tu
     prod = slots[0]
     for slot in slots[1:]:
         prod = prod * slot
-    msg = _normalized(matrix.dot(prod), "upward message from {!r}", cid)
-    return (Tagged(tag, (k, msg)),)
+    msg = _normalize(matrix.dot(prod), "upward message from {!r}", cid)
+    return (_tagged(Tagged, (tag, (k, msg))),)
 
 
 def _context(tag: str, k: int, matrix: np.ndarray, cid: str, belief: tuple) -> tuple[Tagged, ...]:
@@ -372,12 +399,13 @@ def _context(tag: str, k: int, matrix: np.ndarray, cid: str, belief: tuple) -> t
     for i, slot in enumerate(slots):
         if i != k:
             prod = prod * slot
-    msg = _normalized(prod.dot(matrix), "context for {!r}", cid)
-    return (Tagged(tag, msg),)
+    msg = _normalize(prod.dot(matrix), "context for {!r}", cid)
+    return (_tagged(Tagged, (tag, msg)),)
 
 
 def initial_world_state(tree: CausalTree) -> dict[str, np.ndarray]:
-    return {pid: p.external_input.copy() for pid, p in tree.processors.items()}
+    """Each processor's external input; the arrays are the tree's own, which are read-only."""
+    return {pid: p.external_input for pid, p in tree.processors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +424,11 @@ class EquivalenceReport:
 
 def _unmoved(before: list, after: list) -> bool:
     """Same vector shapes, and every entry within 1e-12 as ``np.allclose(rtol=0)`` has it."""
+    same_shapes = [vec.shape for vec in before] == [vec.shape for vec in after]
     a, b = np.concatenate(before, axis=None), np.concatenate(after, axis=None)
+    if same_shapes and (a == b).all():  # the common case, read without the arithmetic below
+        return True
     with np.errstate(invalid="ignore"):  # inf - inf
-        same_shapes = list(map(np.shape, before)) == list(map(np.shape, after))
         return same_shapes and bool(((np.abs(a - b) <= 1e-12) & np.isfinite(b) | (a == b)).all())
 
 
@@ -421,19 +451,19 @@ def equivalence_check(tree: CausalTree, tolerance: float = 1e-9) -> EquivalenceR
             detail="reference propagation hit contradictory evidence",
         )
 
-    ah = kernel.init_active(hierarchy, initial_world_state(tree))
+    ids, ah = tree.processors, kernel.init_active(hierarchy, initial_world_state(tree))
     vectors = []
     try:
         for ticks in (1, 2):
             ah = kernel.process_update(ah)
-            beliefs = [ah.node(pid).belief for pid in tree.processors]
+            beliefs = [ah.active[pid].belief for pid in ids]
             vectors.append([vec for slots, causal in beliefs for vec in (*slots, causal)])
         if not _unmoved(*vectors):  # an unsettled state has no deviation worth measuring
             return report(ticks=2, detail="no fixpoint after 2 ticks")
-        deviation = 0.0
-        for pid in tree.processors:
-            bel = node_belief(ah.node(pid).belief)
-            deviation = max(deviation, float(np.max(np.abs(bel - oracle.beliefs[pid]))))
+        # _unmoved passed, so every tick-2 vector is finite and no NaN reaches the maximum.
+        found = np.concatenate([node_belief(belief) for belief in beliefs])
+        expected = np.concatenate([oracle.beliefs[pid] for pid in ids])
+        deviation = float(np.abs(found - expected).max())
     except DegenerateBeliefError as exc:
         return report(ticks=ticks, degenerate=(str(exc.where),), detail=str(exc))
     return report(passed=deviation < tolerance, max_deviation=deviation, ticks=2)
@@ -451,22 +481,9 @@ def thecat_tree() -> CausalTree:
     while the middle sensor cannot tell its two candidates apart; identity
     conditional matrices tie letter positions to words.
     """
-    eye = np.eye(2)
-    procs = {
-        "N4": Processor(feature_dim=2, causal=np.array([0.5, 0.5])),
-        "N1": Processor(
-            feature_dim=2, parent="N4", cond_matrix=eye,
-            external_input=np.array([0.0, 1.0]),
-        ),
-        "N2": Processor(
-            feature_dim=2, parent="N4", cond_matrix=eye,
-            external_input=np.array([0.5, 0.5]),
-        ),
-        "N3": Processor(
-            feature_dim=2, parent="N4", cond_matrix=eye,
-            external_input=np.array([0.0, 1.0]),
-        ),
-    }
+    procs = {"N4": Processor(feature_dim=2, causal=np.array([0.5, 0.5]))}
+    for pid, evidence in (("N1", [0.0, 1.0]), ("N2", [0.5, 0.5]), ("N3", [0.0, 1.0])):
+        procs[pid] = Processor(2, "N4", np.eye(2), external_input=np.array(evidence))
     return CausalTree(processors=procs)
 
 
@@ -484,30 +501,27 @@ def random_tree(
     if max_depth > MAX_RANDOM_DEPTH:
         raise ValueError(f"max_depth must be at most {MAX_RANDOM_DEPTH}, not {max_depth}")
     n = int(rng.integers(dims[0], dims[1] + 1))
-
-    def rand_vec() -> np.ndarray:
-        return rng.uniform(0.05, 1.0, n)
-
-    def rand_matrix() -> np.ndarray:
-        m = rng.uniform(0.05, 1.0, (n, n))
-        return m / m.sum(axis=1, keepdims=True)
-
-    procs: dict[str, Processor] = {}
-
-    def build(parent: str | None, depth: int) -> None:
-        if len(procs) == MAX_RANDOM_PROCESSORS:
+    parents, draws = {}, []  # each processor's parent link, and its draw
+    stack: list[tuple[str | None, int]] = [(None, 0)]  # (parent, depth) of each processor to draw
+    while stack:  # depth first, each processor before its children, as a recursive walk goes
+        parent, depth = stack.pop()
+        if len(parents) == MAX_RANDOM_PROCESSORS:
             raise ValueError(f"random tree would grow past {MAX_RANDOM_PROCESSORS} processors")
-        if (len(procs) + 1) * n * n > MAX_RANDOM_MATRIX_ENTRIES:
-            raise ValueError(
-                f"random tree matrices would hold more than {MAX_RANDOM_MATRIX_ENTRIES} entries"
-            )
-        pid = f"P{len(procs)}"
+        if (len(parents) + 1) * n * n > (cap := MAX_RANDOM_MATRIX_ENTRIES):
+            raise ValueError(f"random tree matrices would hold more than {cap} entries")
+        pid = f"P{len(parents)}"
         n_children = int(rng.integers(0, max_branching + 1)) if depth < max_depth else 0
-        matrix = None if parent is None else rand_matrix()
-        causal = rand_vec() if parent is None else None
-        procs[pid] = Processor(n, parent, matrix, causal, rand_vec())
-        for _ in range(n_children):
-            build(pid, depth + 1)
+        parents[pid] = parent
+        # One draw per processor: its matrix rows (the root: its prior), then its evidence.
+        draws.append(rng.uniform(0.05, 1.0, (2 if parent is None else n + 1) * n))
+        stack += [(pid, depth + 1)] * n_children
 
-    build(None, 0)
+    (root, _), *links = parents.items()
+    procs = {root: Processor(n, None, None, draws[0][:n], draws[0][n:])}
+    if links:  # every matrix row is normalised in one call, each row as it would be alone
+        drawn = np.array(draws[1:]).reshape(-1, n + 1, n)
+        matrices = drawn[:, :n]
+        matrices /= np.add.reduce(matrices, axis=2, keepdims=True)
+        for (pid, parent), block in zip(links, drawn):
+            procs[pid] = Processor(n, parent, block[:n], None, block[n])
     return CausalTree(processors=procs)

@@ -7,7 +7,8 @@ node is the unique sink). One tick of the process model is a full sensing
 sweep followed by a full prediction sweep. One walk over a hierarchy's graph,
 at activation, both checks it and compiles each node's two steps; the sweeps,
 the node-level updates and sweeps in a caller-supplied order all run them,
-and refuse a hierarchy whose graph that walk refuses.
+and refuse a hierarchy whose graph that walk refuses. No compiled step calls
+``emit_nothing``, nor, for an idle spec with uppers, its selector or policy.
 
 Everything here is functional: update operations take an ``ActiveHierarchy``
 and return a new one, so a failed tick leaves the caller's state untouched
@@ -102,6 +103,12 @@ _IDLE_POLICIES = MappingProxyType({"idle": lambda _belief: ()})
 
 def _select_idle(_task_params: tuple) -> str:
     return "idle"
+
+
+def _is_idle(spec: "CognitiveNodeSpec") -> bool:
+    """The kernel's own idle policy and selector, starting idle: no policy line can fire."""
+    idle = spec.policies is _IDLE_POLICIES and spec.policy_selector is _select_idle
+    return idle and spec.initial_policy == "idle"
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,8 @@ def validate(hierarchy: Hierarchy) -> list[str]:
     """Check well-formedness; violations are ``kind: detail`` lines, not exceptions.
 
     The graph lines are those of the walk that compiles the sweeps
-    (:func:`_compile_schedule`); each node's policy lines follow them.
+    (:func:`_compile_schedule`); each node's policy lines follow them. An
+    idle spec (:func:`_is_idle`) has none to give, so its selector is not called.
     """
     try:
         hierarchy._schedule
@@ -213,6 +221,8 @@ def validate(hierarchy: Hierarchy) -> list[str]:
     except InvalidHierarchyError as refused:
         found = refused.violations
     for spec in hierarchy.nodes:
+        if _is_idle(spec):
+            continue
         node, initial = f"node {spec.node_id!r}", spec.initial_policy
         if initial not in spec.policies:
             found.append(f"initial_policy: {node}: initial policy {initial!r} is not a known policy")
@@ -239,31 +249,34 @@ def canonical_topological_order(
     O(N + E) plus sorting; predecessors outside ``ids`` are ignored.
     """
     ids = set(ids)
-    indegree = dict.fromkeys(ids, 0)
+    indegree: dict[str, int] = {}
     successors: dict[str, list[str]] = {nid: [] for nid in ids}
     for nid in ids:
-        for p in set(preceded.get(nid, ())) & ids:
-            indegree[nid] += 1
+        indegree[nid] = len(pre := ids.intersection(preceded.get(nid, ())))
+        for p in pre:
             successors[p].append(nid)
     order: list[str] = []
-    level = sorted(nid for nid, count in indegree.items() if not count)
+    level = sorted([nid for nid, count in indegree.items() if not count])
     while level:
-        order.extend(level)
+        order += level
+        ready = []  # each node is ready once, when its last predecessor leaves
         for nid in level:
             for nxt in successors[nid]:
                 indegree[nxt] -= 1
-        level = sorted({nxt for nid in level for nxt in successors[nid] if not indegree[nxt]})
+                if not indegree[nxt]:
+                    ready.append(nxt)
+        level = sorted(ready)
     return tuple(order), ids.difference(order)
 
 
 def sensing_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
     """lower-before-upper constraints among non-world nodes, as the compiled sweep holds them."""
-    return {nid: set(pre) for nid, pre in hierarchy._schedule[0].preceded.items()}
+    return hierarchy._schedule[0].preceded()
 
 
 def prediction_dependencies(hierarchy: Hierarchy) -> dict[str, set[str]]:
     """upper-before-lower constraints over all nodes, world included, as compiled."""
-    return {nid: set(pre) for nid, pre in hierarchy._schedule[1].preceded.items()}
+    return hierarchy._schedule[1].preceded()
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +307,8 @@ def init_active(hierarchy: Hierarchy, world_state: Any) -> ActiveHierarchy:
     """Activate a hierarchy: initial beliefs and policies, no actions yet."""
     if violations := validate(hierarchy):
         raise InvalidHierarchyError(violations)
-    active = {
-        spec.node_id: ActiveNode(spec.initial_belief, spec.initial_policy, ())
+    active = {  # each ActiveNode built without its Python-level __new__
+        spec.node_id: tuple.__new__(ActiveNode, (spec.initial_belief, spec.initial_policy, ()))
         for spec in hierarchy.nodes
     }
     return ActiveHierarchy(hierarchy, active, world_state)
@@ -316,7 +329,7 @@ def _tag_error(item: Any, tag: str, node: str, edge: tuple[str, str]) -> TagMism
 
 def _sensing_step(
     spec: CognitiveNodeSpec,
-    sources: tuple[tuple[str, bool, Callable], ...],  # (lower id, "lower is world", sensing_fn)
+    sources: list[tuple[str, bool, Callable]],  # (lower id, "lower is world", sensing_fn)
 ) -> Callable[[dict[str, ActiveNode], Any], Any]:
     """One node's sensing step, writing into ``active``, with its static reads bound once."""
     new = tuple.__new__  # builds an ActiveNode without its Python-level __new__
@@ -348,42 +361,52 @@ def _sensing_step(
 
 def _prediction_step(
     spec: CognitiveNodeSpec,
-    uppers: tuple[tuple[str, Callable, Callable], ...],  # (upper id, task_param_fn, context_fn)
+    uppers: list[tuple[str, Callable, Callable]],  # (upper id, task_param_fn, context_fn)
     is_world: bool,
 ) -> Callable[[dict[str, ActiveNode], Any], Any]:
-    """One node's prediction step, writing into ``active``, with its static reads bound once."""
+    """One node's prediction step, writing into ``active``, with its static reads bound once.
+
+    ``emit_nothing`` is never called, and the calls left keep their order, so the same failure
+    is reported first. An idle spec with uppers skips its selector and policy (:func:`_is_idle`).
+    """
     new = tuple.__new__  # builds an ActiveNode without its Python-level __new__
     node_id, spaces = spec.node_id, spec.spaces
     task_tag, context_tag = spaces.task_param_space, spaces.context_space
     policies, policy_selector = spec.policies, spec.policy_selector
     prediction_update = spec.prediction_update
+    idle = bool(uppers) and _is_idle(spec)
+    calls = [up for up in uppers if up[1] is not emit_nothing or up[2] is not emit_nothing]
 
     def predict(active: dict[str, ActiveNode], world_state: Any) -> Any:
         task_params: list[Any] = []
         contexts: list[Any] = []
         upper = None  # the edge in progress runs to here
         try:
-            for upper, task_param_fn, context_fn in uppers:
+            for upper, task_param_fn, context_fn in calls:
                 upper_active = active[upper]
-                for item in task_param_fn(upper_active.actions):
-                    if not isinstance(item, Tagged) or item.tag != task_tag:
-                        raise _tag_error(item, task_tag, node_id, (node_id, upper))
-                    task_params.append(item.value)
-                for item in context_fn(upper_active.belief):
-                    if not isinstance(item, Tagged) or item.tag != context_tag:
-                        raise _tag_error(item, context_tag, node_id, (node_id, upper))
-                    contexts.append(item.value)
+                if task_param_fn is not emit_nothing:
+                    for item in task_param_fn(upper_active.actions):
+                        if not isinstance(item, Tagged) or item.tag != task_tag:
+                            raise _tag_error(item, task_tag, node_id, (node_id, upper))
+                        task_params.append(item.value)
+                if context_fn is not emit_nothing:
+                    for item in context_fn(upper_active.belief):
+                        if not isinstance(item, Tagged) or item.tag != context_tag:
+                            raise _tag_error(item, context_tag, node_id, (node_id, upper))
+                        contexts.append(item.value)
             upper = None
             if is_world:
                 return prediction_update(tuple(contexts), tuple(task_params), world_state)
             current = active[node_id]
-            if not uppers:
-                policy_id = current.policy
+            if idle:
+                policy_id, actions = "idle", ()
             else:
-                policy_id = policy_selector(tuple(task_params))
-                if policy_id not in policies:
-                    raise OperatorError(f"selector chose unknown policy {policy_id!r}", node=node_id)
-            actions = tuple(policies[policy_id](current.belief))
+                policy_id = current.policy
+                if uppers:
+                    policy_id = policy_selector(tuple(task_params))
+                    if policy_id not in policies:
+                        raise OperatorError(f"selector chose unknown policy {policy_id!r}", node_id)
+                actions = tuple(policies[policy_id](current.belief))
             belief = prediction_update(tuple(contexts), actions, current.belief)
         except KernelError:
             raise
@@ -397,11 +420,17 @@ def _prediction_step(
 
 
 class _Phase(NamedTuple):
-    """One sweep: its constraints and each node's compiled step, in sweep order."""
+    """One sweep: each node's compiled step, in sweep order, and the edges it was built from."""
 
     name: str
-    preceded: dict[str, set[str]]
     steps: dict[str, Callable]
+    links: dict[str, list[tuple]]  # each node's edge entries, the id at the other end first
+    world: str
+
+    def preceded(self) -> dict[str, set[str]]:
+        """Each stepped node's edges' other ends but the world, in declared order, when asked."""
+        world, steps, links = self.world, self.steps, self.links.items()
+        return {nid: {e[0] for e in entries if e[0] != world} for nid, entries in links if nid in steps}
 
 
 def _compile_schedule(hierarchy: Hierarchy) -> tuple[_Phase, _Phase]:
@@ -416,63 +445,60 @@ def _compile_schedule(hierarchy: Hierarchy) -> tuple[_Phase, _Phase]:
     the whole order reversed, world last.
     """
     found: list[str] = []
-    world = hierarchy.world_node
-    into: dict[str, list[tuple[str, bool, Callable]]] = {}
+    world, specs = hierarchy.world_node, {}
+    into: dict[str, list[tuple[str, bool, Callable]]] = {}  # the edges into each node
+    above: dict[str, list[tuple[str, Callable, Callable]]] = {}  # the edges up from each node
+    preceded: dict[str, set[str]] = {}
     for spec in hierarchy.nodes:
-        if spec.node_id in into:
-            found.append(f"duplicate_node: node id {spec.node_id!r} declared twice")
-        into[spec.node_id] = []
-    above: dict[str, list[tuple[str, Callable, Callable]]] = {nid: [] for nid in into}
-    if world not in into:
+        nid = spec.node_id
+        if nid in specs:
+            found.append(f"duplicate_node: node id {nid!r} declared twice")
+        into[nid], above[nid], preceded[nid], specs[nid] = [], [], set(), spec
+    if world not in specs:
         found.append(f"world_missing: world node {world!r} is not among the nodes")
 
     pairs: set[tuple[str, str]] = set()
-    usable: list[EdgeTriple] = []
     for edge in hierarchy.edges:
-        pair, flagged = (edge.lower, edge.upper), len(found)
+        lower, upper = pair = edge.lower, edge.upper
+        flagged = len(found)
         for end in pair:
-            if end not in into:
+            if end not in specs:
                 found.append(f"unknown_node: edge references unknown node {end!r}")
-        if edge.lower == edge.upper:
-            found.append(f"self_edge: edge from {edge.lower!r} to itself")
+        if lower == upper:
+            found.append(f"self_edge: edge from {lower!r} to itself")
         if pair in pairs:
             found.append(f"duplicate_edge: more than one edge for {pair!r}")
         pairs.add(pair)
         if len(found) == flagged:
-            usable.append(edge)
-    for edge in sorted(usable, key=lambda e: (e.lower, e.upper)):
-        into[edge.upper].append((edge.lower, edge.lower == world, edge.sensing_fn))
-        above[edge.lower].append((edge.upper, edge.task_param_fn, edge.context_fn))
+            into[upper].append((lower, lower == world, edge.sensing_fn))
+            above[lower].append((upper, edge.task_param_fn, edge.context_fn))
+            preceded[upper].add(lower)
+    for entries in (*into.values(), *above.values()):
+        if len(entries) > 1:
+            entries.sort()  # by the id at the other end, which no two entries of a list share
 
-    preceded = {nid: {lo for lo, _, _ in into[nid]} for nid in into}
-    if world in into:
-        order, cyclic = canonical_topological_order(into, preceded)
+    if world in specs:
+        order, cyclic = canonical_topological_order(specs, preceded)
         if cyclic:
             found.append("cycle: sensing graph has a cycle through " + ", ".join(sorted(cyclic)))
         if preceded[world]:
             sources = "has incoming sensing edges from " + ", ".join(sorted(preceded[world]))
             found.append(f"unique_source: world node {world!r} {sources}")
         orphan = "has no incoming sensing edge; world must be the only source"
-        for nid in sorted(into):
-            if nid != world and not preceded[nid]:
-                found.append(f"unique_source: node {nid!r} {orphan}")
+        for nid in sorted([nid for nid, pre in preceded.items() if not pre and nid != world]):
+            found.append(f"unique_source: node {nid!r} {orphan}")
     if found:
         raise InvalidHierarchyError(found)
-    lowers = {nid: preceded[nid] - {world} for nid in into if nid != world}
-    uppers = {nid: {up for up, _, _ in above[nid]} for nid in above}
-    sensing = {nid: _sensing_step(hierarchy.node(nid), tuple(into[nid])) for nid in order[1:]}
-    prediction = {
-        nid: _prediction_step(hierarchy.node(nid), tuple(above[nid]), nid == world)
-        for nid in reversed(order)
-    }
-    return _Phase("sensing", lowers, sensing), _Phase("prediction", uppers, prediction)
+    sensing = {nid: _sensing_step(specs[nid], into[nid]) for nid in order[1:]}
+    prediction = {nid: _prediction_step(specs[nid], above[nid], nid == world) for nid in order[::-1]}
+    return _Phase("sensing", sensing, into, world), _Phase("prediction", prediction, above, world)
 
 
 def _check_order(phase: _Phase, order: Iterable[str] | None) -> Iterable[Callable]:
     """``phase``'s steps, in a caller-supplied order checked against its constraints."""
     if order is None:
         return phase.steps.values()
-    order, preceded, what = tuple(order), phase.preceded, phase.name
+    order, preceded, what = tuple(order), phase.preceded(), phase.name
     if set(order) != set(preceded) or len(order) != len(preceded):
         raise ValueError(f"{what} order must cover each node exactly once")
     position = {nid: i for i, nid in enumerate(order)}

@@ -4,12 +4,13 @@ None of these is called by the package, the CLI or the benchmark. They
 live with the tests so that each stays independent of the code it checks.
 """
 
+import math
 from itertools import product
 from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from coghier.bp import BeliefTable, CausalTree
+from coghier.bp import WORLD_ID, BeliefTable, CausalTree
 from coghier.kernel import (
     ActiveHierarchy,
     ActiveNode,
@@ -172,6 +173,57 @@ def active_states_equal(a: ActiveHierarchy, b: ActiveHierarchy) -> bool:
         if x.policy != y.policy or not payloads_equal((x.actions, x.belief), (y.actions, y.belief)):
             return False
     return payloads_equal(a.world_state, b.world_state)
+
+
+def reference_tree_violations(tree: CausalTree) -> list[str]:
+    """The tree check processor by processor, each array checked on its own.
+
+    The same lines in the same order as ``bp.tree_violations``: the root,
+    the reserved id, then each processor in walk order (its dimension, its
+    vectors, its matrix against its parent's dimension), then every
+    processor the walk did not reach.
+    """
+    procs = tree.processors
+    if tree.root is None:
+        return ["the tree has no root: every processor has a parent link"]
+    bad: list[str] = []
+    if WORLD_ID in procs:
+        bad.append(f"processor id {WORLD_ID!r} is reserved for the world node")
+    order = tree.topological_ids()
+    with np.errstate(over="ignore", invalid="ignore"):  # a row of 1e308s or of inf and -inf
+        for pid in order:
+            p = procs[pid]
+            if p.feature_dim < 2:
+                bad.append(f"{pid!r}: feature_dim must be at least 2")
+            vectors = ("causal", "external_input") if pid == tree.root else ("external_input",)
+            for vec_name in vectors:
+                vec = getattr(p, vec_name)
+                if vec.shape != (p.feature_dim,):
+                    bad.append(
+                        f"{pid!r}: {vec_name} has shape {vec.shape}, expected ({p.feature_dim},)"
+                    )
+                elif (vec < 0).any():
+                    bad.append(f"{pid!r}: {vec_name} has negative entries")
+                elif not math.isfinite(total := sum(vec.tolist())):  # inf on overflow
+                    bad.append(f"{pid!r}: {vec_name} sums to {total}, which is not finite")
+                elif not total:
+                    bad.append(f"{pid!r}: {vec_name} is all zero, so no value can have support")
+            if pid == tree.root:
+                continue
+            if p.causal is not None:
+                bad.append(f"{pid!r}: a non-root processor cannot carry 'causal'")
+            matrix, expected = p.cond_matrix, (procs[p.parent].feature_dim, p.feature_dim)
+            if matrix is None:
+                bad.append(f"{pid!r}: non-root processor without a conditional matrix")
+            elif matrix.shape != expected:
+                bad.append(f"{pid!r}: conditional matrix shape {matrix.shape}, expected {expected}")
+            elif not (np.abs(np.add.reduce(matrix, axis=1) - 1.0) <= 1e-12).all():  # NaN fails too
+                bad.append(f"{pid!r}: conditional matrix rows do not sum to 1")
+            elif (matrix < 0).any():
+                bad.append(f"{pid!r}: conditional matrix has negative entries")
+    for pid in sorted(set(procs) - set(order)):
+        bad.append(f"processor {pid!r} is not reachable from the root")
+    return bad
 
 
 def enumerate_joint_beliefs(tree: CausalTree) -> BeliefTable:

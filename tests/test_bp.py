@@ -7,8 +7,10 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import re
 import signal
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -283,6 +285,15 @@ def test_one_tick_reproduces_worked_example():
     np.testing.assert_allclose(causal2, [0.0, 1.0])
     np.testing.assert_allclose(bp.node_belief(ah.node("N2").belief), [0.0, 1.0])
     np.testing.assert_allclose(bp.node_belief(ah.node("N4").belief), [0.0, 1.0])
+
+
+def test_the_evidence_edge_reads_whatever_array_the_world_state_holds():
+    """The tree's own inputs are normalised once per tree; any other array is normalised as read."""
+    tree = bp.thecat_tree()
+    hierarchy = bp.encode(tree)
+    for world, slot in (({"N1": np.array([1.0, 3.0])}, [0.25, 0.75]), ({}, [0.0, 1.0])):
+        start = kernel.init_active(hierarchy, {**bp.initial_world_state(tree), **world})
+        np.testing.assert_array_equal(kernel.process_update(start).node("N1").belief[0][0], slot)
 
 
 def test_a_fresh_sensing_update_reads_the_childrens_starting_slots():
@@ -766,6 +777,162 @@ def test_a_conditional_matrix_row_that_holds_nan_does_not_sum_to_1(row):
     assert bp.tree_violations(tree) == [violation]
     with pytest.raises(ValueError, match=re.escape(violation)):
         bp.equivalence_check(tree)
+
+
+# Entries that break a vector or a matrix row: negative, NaN, infinite, subnormal, zero,
+# and 1e308, whose row sums overflow; valid draws keep most arrays well formed.
+BROKEN_ENTRIES = st.sampled_from([-1.0, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308])
+# Dimension 9 puts rows past 8 entries, where numpy's row sums turn pairwise.
+DIMS = st.sampled_from([1, 2, 3, 9])
+
+
+def moved_to_first(matrix):
+    """``matrix`` with 1 moved from each row's last entry to its first: rows still sum to 1,
+    and the last entry goes negative."""
+    cols = matrix.shape[1]
+    return matrix + np.eye(1, cols) - np.eye(1, cols, cols - 1)
+
+
+def checked_arrays(shape, stochastic=False):
+    """Arrays of ``shape``, well formed (row-stochastic if asked) or broken entry by entry."""
+    valid = hnp.arrays(np.float64, shape, elements=st.floats(0.05, 1.0))
+    broken = hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0) | BROKEN_ENTRIES)
+    uniform = st.sampled_from([0.0, 1e308, np.nan]).map(lambda x: np.full(shape, x))
+    if stochastic:
+        valid = valid.map(lambda m: m / m.sum(axis=1, keepdims=True))
+        broken |= valid.map(moved_to_first)
+    return valid | broken | uniform
+
+
+@st.composite
+def mutated_trees(draw):
+    """Small trees with broken arrays, wrong shapes, mixed dimensions, missing matrices, a
+    non-root ``causal``, the reserved id, and dangling, cyclic or second-root parent links."""
+    names = st.sampled_from(["P0", "P1", "P2", "P3", bp.WORLD_ID])
+    ids = draw(st.lists(names, min_size=1, unique=True))
+    dims = {pid: draw(DIMS) for pid in ids}
+    procs = {}
+    for i, pid in enumerate(ids):
+        links = [*ids[:i]] * 3 + [*ids, None, "ghost"]  # mostly a processor drawn before
+        parent = None if i == 0 else draw(st.sampled_from(links))
+        n, shapes = dims[pid], st.sampled_from([(dims[pid],), (dims[pid] + 1,), (1, dims[pid])])
+        vectors = st.none() | checked_arrays(n) | shapes.flatmap(checked_arrays)
+        matrix = None
+        if parent in dims:
+            rows = dims[parent] if draw(st.booleans()) else draw(DIMS)
+            matrix = draw(st.none() | checked_arrays((rows, n), stochastic=True))
+        causal = draw(vectors) if parent is None or draw(st.integers(0, 9)) == 0 else None
+        procs[pid] = bp.Processor(n, parent, matrix, causal, draw(vectors))
+    return bp.CausalTree(procs)
+
+
+@settings(max_examples=200)
+@example(tree=bp.thecat_tree())
+@given(tree=mutated_trees())
+def test_the_tree_check_matches_the_processor_by_processor_reference(tree):
+    """The check by shape groups gives the reference's lines, in the reference's order."""
+    assert bp.tree_violations(tree) == oracles.reference_tree_violations(tree)
+
+
+def numpy_calls(fn, *args) -> int:
+    """How many numpy functions and array or ufunc methods ``fn(*args)`` calls."""
+    count = 0
+
+    def profile(_frame, event, arg):
+        nonlocal count
+        if event == "c_call" and (
+            getattr(arg, "__module__", None) == "numpy"
+            or isinstance(getattr(arg, "__self__", None), (np.ndarray, np.ufunc))
+        ):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def one_dimension_star(size):
+    """A root over ``size - 1`` leaves, every array its own, all of dimension 3."""
+    procs = {"P0": bp.Processor(3, causal=np.full(3, 0.2), external_input=np.full(3, 0.5))}
+    for i in range(1, size):
+        procs[f"P{i}"] = bp.Processor(3, "P0", np.eye(3), external_input=np.full(3, 0.5))
+    return bp.CausalTree(procs)
+
+
+def test_the_tree_check_makes_as_many_numpy_calls_at_40_processors_as_at_10():
+    small, large = one_dimension_star(10), one_dimension_star(40)
+    assert bp.tree_violations(small) == bp.tree_violations(large) == []
+    assert 0 < numpy_calls(bp.tree_violations, small) == numpy_calls(bp.tree_violations, large)
+    # The reference checks each array on its own, so its count grows with the tree.
+    assert numpy_calls(oracles.reference_tree_violations, large) > 3 * numpy_calls(
+        oracles.reference_tree_violations, small
+    )
+
+
+def test_a_tick_of_an_encoded_tree_never_calls_emit_nothing():
+    """The world node's uppers all send nothing down, and none of those edges is called."""
+    tree = bp.random_tree(np.random.default_rng(7))
+    ah = kernel.init_active(bp.encode(tree), bp.initial_world_state(tree))
+    nothing_edges = [e for e in ah.hierarchy.edges if e.context_fn is kernel.emit_nothing]
+    assert len(nothing_edges) == len(tree.processors)
+    calls = {kernel.emit_nothing.__code__: 0, bp._context.__code__: 0}
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        kernel.process_update(ah)
+    finally:
+        sys.setprofile(None)
+    assert calls[kernel.emit_nothing.__code__] == 0
+    assert calls[bp._context.__code__] == len(tree.processors) - 1  # the counter does count
+
+
+def test_a_tree_copies_and_freezes_its_arrays_so_its_check_cannot_go_stale():
+    """``thecat_tree`` hands one matrix to three processors; each keeps its own frozen copy."""
+    evidence = np.array([0.0, 1.0])
+    letter = bp.Processor(2, "N4", np.eye(2), None, evidence)
+    tree = bp.CausalTree({**bp.thecat_tree().processors, "N1": letter})
+    tree.checked_ids
+    evidence[:] = -1.0  # the caller's array, not the tree's
+    with pytest.raises(ValueError, match="read-only"):
+        tree.processors["N2"].cond_matrix[0] = [-5.0, 6.0]
+    matrices = [tree.processors[pid].cond_matrix for pid in ("N1", "N2", "N3")]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(matrices, 2))
+    assert tree.processors["N1"].external_input.tolist() == [0.0, 1.0]
+    assert bp.tree_violations(tree) == []
+    assert bp.equivalence_check(tree).passed
+
+
+def test_a_tree_deep_copies_and_pickles_into_a_frozen_tree():
+    tree = bp.thecat_tree()
+    for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert list(copied.processors) == list(tree.processors)
+        assert not copied.processors["N1"].cond_matrix.flags.writeable
+        assert bp.equivalence_check(copied).reference.keys() == tree.processors.keys()
+
+
+def test_a_float_dimension_is_refused_whatever_was_built_before():
+    """The read-only defaults are cached per length; 2.0 must not find the vectors of 2."""
+    bp.Processor(2)
+    with pytest.raises(TypeError):
+        bp.Processor(2.0)
+
+
+def test_a_processor_added_to_the_callers_mapping_after_the_check_stays_out_of_the_tree():
+    procs = dict(bp.thecat_tree().processors)
+    tree = bp.CausalTree(procs)
+    tree.checked_ids
+    procs["X"] = bp.Processor(2, "N4", np.eye(2))
+    with pytest.raises(TypeError):
+        tree.processors["X"] = procs["X"]
+    assert "X" not in tree.processors and "X" not in tree.children
+    assert [spec.node_id for spec in bp.encode(tree).nodes] == [bp.WORLD_ID, "N4", "N1", "N2", "N3"]
 
 
 def thecat_with_parent(pid, parent):
